@@ -127,16 +127,6 @@ class BernoulliPmf:
     def margins(self) -> tuple[Fraction, ...]:
         return tuple(self.margin(j) for j in range(1, self.d + 1))
 
-    def is_exchangeable(self) -> bool:
-        """True when the pmf only depends on the number of ones."""
-        by_weight: dict[int, Fraction] = {}
-        for m, v in enumerate(self.values):
-            k = m.bit_count()
-            if k in by_weight and by_weight[k] != v:
-                return False
-            by_weight.setdefault(k, v)
-        return True
-
     def to_json(self) -> dict:
         return {"d": self.d, "order": "revlex", "values": [format_fraction(v) for v in self.values]}
 

@@ -22,14 +22,12 @@ breaks down (the engine exposes that counterexample in the tests).
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregation import aggregate, aggregate_discrete_general
+from .aggregation import ConditionalLaws, aggregate, aggregate_discrete_general
 from .bernoulli import as_fraction, format_fraction, margin_vector
 from .copula import GfgmSpec, sample_x
 from .distributions import EmpiricalDistribution
@@ -88,20 +86,25 @@ def _margin_desc(margin) -> str:
     return margin if isinstance(margin, str) else margin.describe()
 
 
-def _worker_count(n_tasks: int) -> int:
-    env = os.environ.get("GFGM_THREADS")
-    if env:
-        return max(1, int(env))
-    if n_tasks < 64:
-        return 1
-    return min(os.cpu_count() or 1, 8)
+def _evaluate_points(margin, d: int, p, points, measures, grid_h) -> list[list[float]]:
+    """Measure values per point, from one table of conditional laws for the call."""
+    laws = None if margin == "bernoulli" else ConditionalLaws(margin, d, p, grid_h)
+    rows = []
+    for pt in points:
+        dist = aggregate(margin, d, pt, p, grid_h=grid_h, laws=laws)
+        rows.append([evaluate(dist, m) for m in measures])
+    return rows
 
 
-def _extrema(measure_label: str, values: list[float], labels: list[str]):
-    arr = np.asarray(values)
-    imin = int(arr.argmin())
-    imax = int(arr.argmax())
-    return (values[imin], labels[imin]), (values[imax], labels[imax])
+def _report(margin, d, p, measures, labels, rows, metadata, fixed=False) -> RiskReport:
+    """Report with extrema by value, or at the first and last point when ``fixed``."""
+    values = {m.label: [row[i] for row in rows] for i, m in enumerate(measures)}
+    minima, maxima = {}, {}
+    for label, vals in values.items():
+        imin, imax = (0, len(vals) - 1) if fixed else (int(np.argmin(vals)), int(np.argmax(vals)))
+        minima[label], maxima[label] = (vals[imin], labels[imin]), (vals[imax], labels[imax])
+    return RiskReport(margin, d, p, [m.label for m in measures], labels, values, minima, maxima,
+                      metadata)
 
 
 def bounds_common_p(
@@ -124,58 +127,28 @@ def bounds_common_p(
     points = extremal_points(d, p)
     labels = [pt.label for pt in points]
     t0 = time.perf_counter()
-
-    def task(pt):
-        dist = aggregate(margin, d, pt, p, grid_h=grid_h)
-        return [evaluate(dist, m) for m in measures]
-
-    workers = _worker_count(len(points))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(task, points))
-    else:
-        rows = [task(pt) for pt in points]
-
-    values = {m.label: [row[i] for row in rows] for i, m in enumerate(measures)}
-    minima, maxima = {}, {}
-    for m in measures:
-        minima[m.label], maxima[m.label] = _extrema(m.label, values[m.label], labels)
+    rows = _evaluate_points(margin, d, p, points, measures, grid_h)
+    metadata = {"extremal_points": len(points), "runtime_s": round(time.perf_counter() - t0, 6),
+                "grid_h": grid_h, "path": "common-p"}
+    report = _report(_margin_desc(margin), d, format_fraction(p), measures, labels, rows, metadata)
 
     if check_convex:
         lo_idx = min_convex_point(d, p).index - 1
         hi_idx = max_convex_point(d, p).index - 1
-        for m in measures:
-            if not m.is_convex:
-                continue
-            vals = values[m.label]
-            scale = max(1.0, abs(minima[m.label][0]), abs(maxima[m.label][0]))
-            if minima[m.label][0] < vals[lo_idx] - _CONVEX_CHECK_RTOL * scale:
+        for m in (m for m in measures if m.is_convex):
+            lo, hi, vals = report.minima[m.label], report.maxima[m.label], report.values[m.label]
+            slack = _CONVEX_CHECK_RTOL * max(1.0, abs(lo[0]), abs(hi[0]))
+            if lo[0] < vals[lo_idx] - slack:
                 raise ConvexBoundViolation(
-                    f"{m.label}: minimum {minima[m.label]} undercuts the convex-order "
+                    f"{m.label}: minimum {lo} undercuts the convex-order "
                     f"smallest point {labels[lo_idx]} ({vals[lo_idx]})"
                 )
-            if maxima[m.label][0] > vals[hi_idx] + _CONVEX_CHECK_RTOL * scale:
+            if hi[0] > vals[hi_idx] + slack:
                 raise ConvexBoundViolation(
-                    f"{m.label}: maximum {maxima[m.label]} exceeds the upper Fréchet "
+                    f"{m.label}: maximum {hi} exceeds the upper Fréchet "
                     f"point {labels[hi_idx]} ({vals[hi_idx]})"
                 )
-
-    return RiskReport(
-        margin=_margin_desc(margin),
-        d=d,
-        p=format_fraction(p),
-        measures=[m.label for m in measures],
-        point_labels=labels,
-        values=values,
-        minima=minima,
-        maxima=maxima,
-        metadata={
-            "extremal_points": len(points),
-            "runtime_s": round(time.perf_counter() - t0, 6),
-            "grid_h": grid_h,
-            "path": "common-p",
-        },
-    )
+    return report
 
 
 def var_bounds_common_p(margin, d: int, p, alpha: float, grid_h: float | None = None):
@@ -197,29 +170,11 @@ def convex_bounds_fast(margin, d: int, p, measures, grid_h: float | None = None)
     t0 = time.perf_counter()
     points = [min_convex_point(d, p), max_convex_point(d, p)]
     labels = [pt.label for pt in points]
-    rows = []
-    for pt in points:
-        dist = aggregate(margin, d, pt, p, grid_h=grid_h)
-        rows.append([evaluate(dist, m) for m in measures])
-    values = {m.label: [row[i] for row in rows] for i, m in enumerate(measures)}
-    minima = {m.label: (values[m.label][0], labels[0]) for m in measures}
-    maxima = {m.label: (values[m.label][1], labels[1]) for m in measures}
-    return RiskReport(
-        margin=_margin_desc(margin),
-        d=d,
-        p=format_fraction(p),
-        measures=[m.label for m in measures],
-        point_labels=labels,
-        values=values,
-        minima=minima,
-        maxima=maxima,
-        metadata={
-            "extremal_points": 2,
-            "runtime_s": round(time.perf_counter() - t0, 6),
-            "grid_h": grid_h,
-            "path": "convex-fast",
-        },
-    )
+    rows = _evaluate_points(margin, d, p, points, measures, grid_h)
+    metadata = {"extremal_points": 2, "runtime_s": round(time.perf_counter() - t0, 6),
+                "grid_h": grid_h, "path": "convex-fast"}
+    return _report(_margin_desc(margin), d, format_fraction(p), measures, labels, rows, metadata,
+                   fixed=True)
 
 
 def bounds_general_p(
@@ -258,11 +213,6 @@ def bounds_general_p(
             dist = EmpiricalDistribution(draws.sum(axis=1))
             mc_se.append(float(np.std(dist.samples, ddof=1) / np.sqrt(mc_n)))
         rows.append([evaluate(dist, m) for m in measures])
-
-    values = {m.label: [row[i] for row in rows] for i, m in enumerate(measures)}
-    minima, maxima = {}, {}
-    for m in measures:
-        minima[m.label], maxima[m.label] = _extrema(m.label, values[m.label], labels)
     metadata = {
         "vertices": len(vertices),
         "runtime_s": round(time.perf_counter() - t0, 6),
@@ -273,14 +223,5 @@ def bounds_general_p(
         metadata["mc_n"] = mc_n
         metadata["seed"] = seed
         metadata["mean_standard_errors"] = mc_se
-    return RiskReport(
-        margin=",".join(_margin_desc(m) for m in margins),
-        d=d,
-        p=[format_fraction(q) for q in pv.probs],
-        measures=[m.label for m in measures],
-        point_labels=labels,
-        values=values,
-        minima=minima,
-        maxima=maxima,
-        metadata=metadata,
-    )
+    return _report(",".join(_margin_desc(m) for m in margins), d,
+                   [format_fraction(q) for q in pv.probs], measures, labels, rows, metadata)

@@ -5,7 +5,8 @@ variance, cdf, quantile, stop-loss transform, log-mgf) that the risk-measure
 layer builds on:
 
 * LatticeDistribution: pmf on the integers 0..m (discrete margins),
-* GridDistribution: pmf lumped on a step-h lattice (uniform margins),
+* GridDistribution: pmf lumped on a step-h lattice (uniform margins), both
+  optionally with a closed-form log-mgf and variance in place of pmf sums,
 * MixedErlangDistribution: countable Erlang(beta) mixture (exponential
   margins), evaluated analytically from its component weights,
 * EmpiricalDistribution: a sorted Monte Carlo sample.
@@ -17,18 +18,28 @@ level.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 from scipy import special
 
 _CDF_SLACK = 1e-12
 
 
+def log_sum_exp(values) -> float:
+    """log(sum(exp(values))), shifted by the maximum so that it cannot overflow."""
+    values = np.asarray(values, dtype=float)
+    top = values.max()
+    return float(top + np.log(np.exp(values - top).sum()))
+
+
 class LatticeDistribution:
-    """pmf on {0, 1, ..., m}."""
+    """pmf on {0, 1, ..., m}; exact ``log_mgf(gamma)`` and ``variance``, if given, win."""
 
     kind = "lattice"
 
-    def __init__(self, probs, renormalize: bool = True):
+    def __init__(self, probs, renormalize: bool = True, log_mgf=None, variance=None):
         probs = np.asarray(probs, dtype=float)
         if probs.min() < -1e-9:
             raise ValueError(f"pmf entry {probs.min()} too negative for round-off")
@@ -39,6 +50,8 @@ class LatticeDistribution:
         self.probs = probs / total if renormalize else probs
         self._cdf = np.cumsum(self.probs)
         self.support = np.arange(probs.size, dtype=float)
+        self._exact_log_mgf = log_mgf
+        self._exact_variance = variance
 
     @classmethod
     def from_sum_pmf(cls, g) -> "LatticeDistribution":
@@ -48,6 +61,8 @@ class LatticeDistribution:
         return float(np.dot(self.support, self.probs))
 
     def variance(self) -> float:
+        if self._exact_variance is not None:
+            return self._exact_variance
         m = self.mean()
         return float(np.dot((self.support - m) ** 2, self.probs))
 
@@ -63,22 +78,22 @@ class LatticeDistribution:
         return float(np.dot(np.clip(self.support - t, 0.0, None), self.probs))
 
     def log_mgf(self, gamma: float) -> float:
+        if self._exact_log_mgf is not None:
+            return self._exact_log_mgf(gamma)
         mask = self.probs > 0
-        return float(
-            special.logsumexp(np.log(self.probs[mask]) + gamma * self.support[mask])
-        )
+        return log_sum_exp(np.log(self.probs[mask]) + gamma * self.support[mask])
 
 
 class GridDistribution:
-    """pmf lumped on the lattice {0, h, 2h, ...}."""
+    """pmf lumped on the lattice {0, h, 2h, ...}; exact moments are in lattice steps."""
 
     kind = "grid"
 
-    def __init__(self, h: float, probs):
+    def __init__(self, h: float, probs, log_mgf=None, variance=None):
         if h <= 0:
             raise ValueError("grid step must be positive")
         self.h = float(h)
-        self._lattice = LatticeDistribution(probs)
+        self._lattice = LatticeDistribution(probs, log_mgf=log_mgf, variance=variance)
         self.probs = self._lattice.probs
 
     def mean(self) -> float:
@@ -123,6 +138,8 @@ class MixedErlangDistribution:
         self.shapes = (shape_offset + np.nonzero(keep)[0]).astype(float)
         self.eta = eta[keep]
         self.tail_mass = float(tail_mass)
+        self._log_gamma = special.gammaln(self.shapes)
+        self._quantiles: dict[tuple[float, float], float] = {}
 
     def mean(self) -> float:
         return float(np.dot(self.eta, self.shapes)) / self.beta
@@ -141,18 +158,44 @@ class MixedErlangDistribution:
             out[pos] = special.gammainc(self.shapes[None, :], self.beta * x[pos, None]) @ self.eta
         return float(out[0]) if scalar else out
 
+    def _cdf_pdf(self, x: float) -> tuple[float, float, float]:
+        """cdf, density and density slope at x > 0; Erlang densities via gammaln."""
+        bx = self.beta * x
+        cdf = float(special.gammainc(self.shapes, bx) @ self.eta)
+        dens = np.exp((self.shapes - 1.0) * math.log(bx) - bx - self._log_gamma) * self.eta
+        slope = float(dens @ ((self.shapes - 1.0) / x - self.beta))
+        return cdf, self.beta * float(dens.sum()), self.beta * slope
+
     def quantile(self, level: float, tol: float = 1e-10) -> float:
+        """inf{x : F(x) >= level} within ``tol``, by bracketed Newton steps.
+
+        Steps carry Halley's curvature correction and shrink a bracket
+        lo < q <= hi; a step out of it, and every step after the 30th, is a
+        bisection (a doubling while hi is unknown).  Steps shorter than tol/2
+        are stretched to tol/2, so the next evaluation closes the bracket;
+        the answer is its upper end, which is within tol or one float of the
+        quantile.  Answers are kept per level.
+        """
         if not 0 < level < 1:
             raise ValueError("level must be inside (0,1)")
-        lo, hi = 0.0, self.mean() + 10.0 * np.sqrt(self.variance()) + 1.0
-        while self.cdf(hi) < level:
-            hi *= 2.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) >= level:
-                hi = mid
-            else:
-                lo = mid
+        key = (level, tol)
+        if key in self._quantiles:
+            return self._quantiles[key]
+        mean, sd = self.mean(), math.sqrt(max(self.variance(), 0.0))
+        lo, hi, x = 0.0, math.inf, max(mean + sd * float(special.ndtri(level)), 0.5 * mean)
+        for steps in itertools.count(1):
+            cdf, pdf, slope = self._cdf_pdf(x)
+            lo, hi = (lo, x) if cdf >= level else (x, hi)
+            if hi - lo <= max(tol, math.ulp(lo)):  # adjacent floats cannot be split further
+                break
+            g = cdf - level
+            step = math.inf if pdf <= 0.0 else g / pdf
+            if 2.0 * pdf * pdf > g * slope:
+                step = 2.0 * g * pdf / (2.0 * pdf * pdf - g * slope)
+            x -= math.copysign(max(abs(step), 0.5 * tol), step)
+            if steps >= 30 or not lo < x < hi:
+                x = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo + mean
+        self._quantiles[key] = hi
         return hi
 
     def stop_loss(self, t: float) -> float:
@@ -166,9 +209,7 @@ class MixedErlangDistribution:
     def log_mgf(self, gamma: float) -> float:
         if gamma >= self.beta:
             raise ValueError(f"mgf diverges: gamma={gamma} at or above the mixture rate {self.beta}")
-        return float(
-            special.logsumexp(np.log(self.eta) + self.shapes * np.log(self.beta / (self.beta - gamma)))
-        )
+        return log_sum_exp(np.log(self.eta) + self.shapes * np.log(self.beta / (self.beta - gamma)))
 
 
 class EmpiricalDistribution:
@@ -200,7 +241,7 @@ class EmpiricalDistribution:
         return float(np.clip(self.samples - t, 0.0, None).mean())
 
     def log_mgf(self, gamma: float) -> float:
-        return float(special.logsumexp(gamma * self.samples) - np.log(self.n))
+        return log_sum_exp(gamma * self.samples) - float(np.log(self.n))
 
 
 AggregateDistribution = (

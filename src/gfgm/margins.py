@@ -322,13 +322,3 @@ def margin_from_json(obj: dict) -> Margin:
         power = obj["power"]
         return DiscreteMargin.from_power_cdf(float(power["a"]), float(power["c"]), int(power["n"]))
     raise ValueError(f"unknown margin type {kind!r}")
-
-
-def margin_to_json(margin: Margin) -> dict:
-    if isinstance(margin, ExponentialMargin):
-        return {"type": "exp", "rate": margin.rate}
-    if isinstance(margin, UniformMargin):
-        return {"type": "uniform"}
-    if isinstance(margin, DiscreteMargin):
-        return {"type": "discrete", "pmf": margin.pmf.tolist()}
-    raise TypeError(f"cannot serialize margin {type(margin).__name__}")

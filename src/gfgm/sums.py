@@ -15,6 +15,7 @@ lattice, in exact rational arithmetic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,9 +44,6 @@ class SumPmf:
     @property
     def mean(self) -> Fraction:
         return sum((Fraction(k) * v for k, v in enumerate(self.values)), Fraction(0))
-
-    def second_moment(self) -> Fraction:
-        return sum((Fraction(k * k) * v for k, v in enumerate(self.values)), Fraction(0))
 
     def stop_loss(self, t: Fraction | int) -> Fraction:
         """E[(S - t)+], exact."""
@@ -102,7 +100,7 @@ class ExtremalSumPoint:
 
     @property
     def label(self) -> str:
-        return f"rD{self.index}"
+        return sys.intern(f"rD{self.index}")  # one string per label while reports hold it
 
     @property
     def pmf(self) -> SumPmf:

@@ -74,6 +74,16 @@ class TestBounds:
         )
         assert code == 3
 
+    def test_grid_over_budget_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "bounds", "--margin", "uniform", "--d", "100", "--p", "1/2",
+            "--grid", "1e-6", "--alpha", "0.95",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("gfgm: error: grid of") and "budget" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_vector_p_uses_vertex_path(self, capsys, tmp_path):
         margin_file = tmp_path / "margin.json"
         margin_file.write_text(json.dumps({"type": "discrete", "pmf": [0.5, 0.3, 0.2]}))
