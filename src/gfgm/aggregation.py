@@ -17,7 +17,8 @@ driver-sum pmf g the sum's law is the mixture sum_k g(k) L_k.
 Lattice and grid mixtures carry their log-mgf and variance in closed form
 from the split pmfs, so FFT round-off in the far tail, which e^{gamma x}
 would amplify, never reaches the entropic measure.  Heterogeneous discrete
-margins mix over the driver's atoms instead.
+margins need the whole driver, not just its sum: their law is the inverse FFT
+of ``Driver.mix`` over the per-coordinate split spectra (``split_spectra``).
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ from .sums import ExtremalSumPoint, SumPmf
 _ETA_EPS = 1e-12
 _GRID_ROW_NODES = 1 << 22
 _GRID_TABLE_NODES = 1 << 24
-
-
-def _fft_length(n: int) -> int:
-    return 1 << max(1, (n - 1).bit_length())
 
 
 def _clean_pmf(pmf: np.ndarray) -> np.ndarray:
@@ -223,33 +220,39 @@ def aggregate_discrete_common(margin: DiscreteMargin, d: int, sum_pmf, p) -> Lat
     return ConditionalLaws(margin, d, p).mix(sum_pmf)
 
 
-def aggregate_discrete_general(margins: list[DiscreteMargin], driver) -> LatticeDistribution:
-    """Sum with heterogeneous discrete margins: mixture over the driver atoms.
+def split_spectra(margins, p, length: int, weight=None) -> tuple[np.ndarray, np.ndarray]:
+    """rfft of every margin's split pmfs Z0_j and Z1_j at p_j, as two (d, length//2+1) arrays.
 
-    Per-coordinate split transforms are cached once; each atom contributes
-    the product of its selected transforms.  Margin parameters p_j come from
-    the driver margins.
+    ``weight``, indexed by lattice point, multiplies each pmf first:
+    ``np.arange(length)`` gives the transforms of k P(Z=k).
+    """
+    rows = np.zeros((2, len(margins), length))
+    for j, (margin, pj) in enumerate(zip(margins, p)):
+        z = margin.z_pmfs(pj)
+        for which, pmf in enumerate((z.z0, z.z1)):
+            rows[which, j, : pmf.size] = pmf if weight is None else weight[: pmf.size] * pmf
+    z0, z1 = np.fft.rfft(rows, axis=2)
+    return z0, z1
+
+
+def _portfolio_lattice(margins, driver) -> tuple[int, int]:
+    """(size, FFT length) of the lattice of a heterogeneous discrete sum."""
+    if len(margins) != driver.d:
+        raise ValueError(f"need {driver.d} margins, got {len(margins)}")
+    size = sum(m.n for m in margins) + 1
+    return size, next_fast_len(size, real=True)
+
+
+def aggregate_discrete_general(margins: list[DiscreteMargin], driver) -> LatticeDistribution:
+    """Sum with heterogeneous discrete margins, p_j from the driver margins.
+
+    Given the driver the coordinates are independent, so the sum's spectrum
+    is the driver's mixture of products of the split spectra.
     """
     driver = as_driver(driver)
-    d = driver.d
-    if len(margins) != d:
-        raise ValueError(f"need {d} margins, got {len(margins)}")
-    if d > 25:
-        raise ValueError(f"atom mixture is capped at d=25, got {d}")
-    p = driver.margins()
-    size = sum(m.n for m in margins) + 1
-    length = _fft_length(size)
-    z_hats = []
-    for j, margin in enumerate(margins):
-        z = margin.z_pmfs(p[j])
-        z_hats.append((np.fft.rfft(z.z0, n=length), np.fft.rfft(z.z1, n=length)))
-    spectrum = np.zeros(length // 2 + 1, dtype=complex)
-    for mask, w in driver.atoms():
-        term = np.full(length // 2 + 1, float(w), dtype=complex)
-        for j in range(d):
-            term *= z_hats[j][(mask >> j) & 1]
-        spectrum += term
-    return LatticeDistribution(_ifft_pmf(spectrum, length, size))
+    size, length = _portfolio_lattice(margins, driver)
+    z0, z1 = split_spectra(margins, driver.margins(), length)
+    return LatticeDistribution(_ifft_pmf(driver.mix(z0, z1), length, size))
 
 
 def aggregate_exponential(rate: float, d: int, sum_pmf, p) -> MixedErlangDistribution:

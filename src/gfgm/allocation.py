@@ -1,10 +1,11 @@
 """Capital decomposition for discrete portfolios under GFGM dependence.
 
 Everything is driven by the expected-allocation vectors E[X_j 1{S=y}]:
-conditioning on a driver atom makes the coordinates independent, so the
-vector is a mixture of convolutions of "own size-biased pmf" with the
-leave-one-out sum of the others.  Leave-one-out spectra come from prefix and
-suffix products (one pass, no repeated FFT work), cached per driver atom.
+conditioning on the driver makes the coordinates independent, so the
+vector's spectrum is the driver's mixture (``Driver.mix``) of the same
+products as the law of S, with coordinate j's split spectra replaced by
+their size-biased versions (transforms of k P(Z=k)).  That is d + 1 mixtures
+over spectra computed once.
 
 The three full-allocation identities,
 
@@ -21,67 +22,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import _fft_length, _ifft_pmf
+from .aggregation import _ifft_pmf, _portfolio_lattice, split_spectra
 from .distributions import LatticeDistribution
 from .drivers import as_driver
 from .margins import DiscreteMargin
 from .measures import es as es_measure
 
-
-def _portfolio_parts(driver, margins):
-    driver = as_driver(driver)
-    d = driver.d
-    if len(margins) != d:
-        raise ValueError(f"need {d} margins, got {len(margins)}")
-    for m in margins:
-        if not isinstance(m, DiscreteMargin):
-            raise ValueError(
-                "allocation is exact for discrete margins only; discretize or sample "
-                "continuous margins explicitly"
-            )
-    p = driver.margins()
-    size = sum(m.n for m in margins) + 1
-    length = _fft_length(size)
-    half = length // 2 + 1
-    z_hats = []
-    size_biased = []
-    for j, margin in enumerate(margins):
-        z = margin.z_pmfs(p[j])
-        z_hats.append((np.fft.rfft(z.z0, n=length), np.fft.rfft(z.z1, n=length)))
-        k = np.arange(margin.n + 1, dtype=float)
-        size_biased.append(
-            (np.fft.rfft(k * z.z0, n=length), np.fft.rfft(k * z.z1, n=length))
-        )
-    return driver, d, size, length, half, z_hats, size_biased
+# The transforms of S are exact to about 1e-15 absolute, so a mass below this
+# floor cannot be told apart from FFT round-off and is treated as zero.
+_ROUNDOFF_FLOOR = 1e-12
 
 
 def expected_allocation_all(driver, margins) -> tuple[np.ndarray, LatticeDistribution]:
     """All allocation vectors E[X_j 1{S=y}] plus the aggregate law of S.
 
     Returns a (d, m+1) array over the lattice of S and the matching
-    LatticeDistribution, computed in one pass over the driver atoms.
+    LatticeDistribution.
     """
-    driver, d, size, length, half, z_hats, size_biased = _portfolio_parts(driver, margins)
-    alloc_hat = np.zeros((d, half), dtype=complex)
-    agg_hat = np.zeros(half, dtype=complex)
-    for mask, weight in driver.atoms():
-        w = float(weight)
-        chosen = [z_hats[j][(mask >> j) & 1] for j in range(d)]
-        prefix = np.ones(half, dtype=complex)
-        prefixes = []
-        for j in range(d):
-            prefixes.append(prefix)
-            prefix = prefix * chosen[j]
-        agg_hat += w * prefix
-        suffix = np.ones(half, dtype=complex)
-        for j in range(d - 1, -1, -1):
-            loo = prefixes[j] * suffix
-            alloc_hat[j] += w * size_biased[j][(mask >> j) & 1] * loo
-            suffix = suffix * chosen[j]
-    agg = LatticeDistribution(_ifft_pmf(agg_hat, length, size))
-    alloc = np.vstack([np.fft.irfft(alloc_hat[j], n=length)[:size] for j in range(d)])
-    alloc = np.clip(alloc, 0.0, None)
-    return alloc, agg
+    if not all(isinstance(m, DiscreteMargin) for m in margins):
+        raise ValueError(
+            "allocation is exact for discrete margins only; discretize or sample "
+            "continuous margins explicitly"
+        )
+    driver = as_driver(driver)
+    size, length = _portfolio_lattice(margins, driver)
+    p = driver.margins()
+    z0, z1 = split_spectra(margins, p, length)
+    agg = LatticeDistribution(_ifft_pmf(driver.mix(z0, z1), length, size))
+    s0, s1 = split_spectra(margins, p, length, weight=np.arange(length))
+    a, b = z0.copy(), z1.copy()
+    alloc_hat = []
+    for j in range(driver.d):
+        a[j], b[j] = s0[j], s1[j]
+        alloc_hat.append(driver.mix(a, b))
+        a[j], b[j] = z0[j], z1[j]
+    alloc = np.fft.irfft(np.array(alloc_hat), n=length)[:, :size]
+    return np.clip(alloc, 0.0, None), agg
 
 
 def expected_allocation(j: int, driver, margins) -> np.ndarray:
@@ -94,8 +70,8 @@ def expected_contribution(j: int, driver, margins, y: int) -> float:
     """E[X_j | S=y]; contributions across j sum to y."""
     alloc, agg = expected_allocation_all(driver, margins)
     prob = agg.probs[y] if 0 <= y < agg.probs.size else 0.0
-    if prob <= 0:
-        raise ValueError(f"P(S={y}) = 0: conditional contribution undefined")
+    if prob < _ROUNDOFF_FLOOR:
+        raise ValueError(f"P(S={y}) = 0 up to FFT round-off: conditional contribution undefined")
     return float(alloc[j - 1][y] / prob)
 
 

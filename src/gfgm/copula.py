@@ -7,10 +7,10 @@ distribution whose margins are exactly p.  The copula is the joint cdf of
 
 with U0, U1 independent uniform vectors independent of I.  Two evaluation
 routes are provided and cross-checked in the tests: the explicit expansion in
-the dependence coefficients nu, and the conditional mixture over the driver's
-atoms.  Sampling uses the stochastic representation directly (inverse
-transforms only, Philox counter-based streams), so output is reproducible
-given the seed and sample counts are deterministic.
+the dependence coefficients nu, and the conditional mixture over the driver
+(``Driver.mix``).  Sampling uses the stochastic representation directly
+(inverse transforms only, Philox counter-based streams), so output is
+reproducible given the seed and sample counts are deterministic.
 """
 
 from __future__ import annotations
@@ -117,10 +117,10 @@ def copula_cdf(spec: GfgmSpec, u, method: str = "auto") -> np.ndarray | float:
     """Copula cdf at one point (shape (d,)) or a batch (shape (m, d)).
 
     ``method`` selects the evaluation route: "mixture" conditions on the
-    driver atoms (cost proportional to the support size; the exchangeable
-    route uses symmetric-polynomial recursion instead of atom expansion),
-    "nu" uses the coefficient expansion (small d), "auto" prefers the
-    mixture.
+    driver, mixing products of the conditional cdfs with ``Driver.mix``
+    (cost proportional to the atom count, or O(d^2) for an exchangeable
+    driver), "nu" uses the coefficient expansion (small d), "auto" prefers
+    the mixture.
     """
     u = np.asarray(u, dtype=float)
     scalar = u.ndim == 1
@@ -132,7 +132,8 @@ def copula_cdf(spec: GfgmSpec, u, method: str = "auto") -> np.ndarray | float:
     if method == "nu":
         out = _cdf_nu(spec, pts)
     else:
-        out = _cdf_mixture(spec, pts)
+        f0, f1 = _conditional_values(spec, pts)
+        out = spec.driver.mix(f0.T, f1.T)
     return float(out[0]) if scalar else out
 
 
@@ -141,30 +142,6 @@ def _conditional_values(spec: GfgmSpec, pts: np.ndarray) -> tuple[np.ndarray, np
     f0 = np.power(pts, 1.0 / (1.0 - p))
     f1 = pts / p - ((1.0 - p) / p) * f0
     return f0, f1
-
-
-def _cdf_mixture(spec: GfgmSpec, pts: np.ndarray) -> np.ndarray:
-    f0, f1 = _conditional_values(spec, pts)
-    if isinstance(spec.driver, ExchangeableDriver):
-        # sum_{|i|=k} prod_j F_{i_j} is the k-th coefficient of prod_j (F0_j + t F1_j).
-        d = spec.d
-        m = pts.shape[0]
-        coeffs = np.zeros((m, d + 1))
-        coeffs[:, 0] = 1.0
-        for j in range(d):
-            upper = coeffs[:, : j + 1] * f1[:, j : j + 1]
-            coeffs[:, : j + 1] *= f0[:, j : j + 1]
-            coeffs[:, 1 : j + 2] += upper
-        g = np.asarray(spec.driver.sum_dist.as_floats())
-        binom = np.array([math.comb(d, k) for k in range(d + 1)], dtype=float)
-        return coeffs @ (g / binom)
-    out = np.zeros(pts.shape[0])
-    for mask, w in spec.driver.atoms():
-        term = np.ones(pts.shape[0]) * float(w)
-        for j in range(spec.d):
-            term *= f1[:, j] if (mask >> j) & 1 else f0[:, j]
-        out += term
-    return out
 
 
 def _cdf_nu(spec: GfgmSpec, pts: np.ndarray) -> np.ndarray:

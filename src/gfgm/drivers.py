@@ -9,7 +9,14 @@ distribution.  Three interchangeable representations are supported:
   with that component sum (any d).
 
 Masks use bit j-1 for coordinate j, matching the dense reverse-lexicographic
-index.  All weights stay exact rationals; floats appear only in sampling.
+index.  All weights stay exact rationals; floats appear only in sampling and
+in ``mix``.
+
+Given the driver, the coordinates are independent, so the copula cdf, the
+law of a heterogeneous sum and the Euler allocation vectors are all one
+driver-weighted mixture of coordinatewise products.  Each representation
+computes it with ``mix(a, b)``: dense and sparse drivers loop over their
+atoms, the exchangeable driver uses an elementary-symmetric recursion.
 """
 
 from __future__ import annotations
@@ -47,6 +54,9 @@ class DenseDriver:
 
     def pair_joint11(self, j1: int, j2: int) -> Fraction:
         return _pair_from_atoms(self.atoms(), j1, j2)
+
+    def mix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return _mix_atoms(self.atoms(), a, b)
 
     def sample_indicators(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return _sample_from_atoms(self.atoms(), self.d, rng, n)
@@ -89,6 +99,9 @@ class AtomDriver:
 
     def pair_joint11(self, j1: int, j2: int) -> Fraction:
         return _pair_from_atoms(self.atom_list, j1, j2)
+
+    def mix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return _mix_atoms(self.atom_list, a, b)
 
     def sample_indicators(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return _sample_from_atoms(self.atom_list, self.d, rng, n)
@@ -147,6 +160,25 @@ class ExchangeableDriver:
             Fraction(0),
         )
 
+    def mix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The mixture in O(d^2) products, without expanding the atoms.
+
+        Summed over the C(d, k) masks with k ones, the products are the k-th
+        coefficient of prod_j (a_j + t b_j), and each such mask weighs
+        g(k)/C(d, k).  Coefficients above the top of g's support are never
+        needed, so the recursion stops there.
+        """
+        values = self.sum_dist.values
+        top = max(k for k, g in enumerate(values) if g)
+        coeffs = np.zeros((top + 1,) + a.shape[1:], dtype=np.result_type(a, b, float))
+        coeffs[0] = 1.0
+        for j in range(self.d):
+            upper = coeffs[: min(j + 1, top)] * b[j]
+            coeffs[: j + 1] *= a[j]
+            coeffs[1 : upper.shape[0] + 1] += upper
+        weights = [float(values[k] / math.comb(self.d, k)) for k in range(top + 1)]
+        return np.tensordot(weights, coeffs, axes=1)
+
     def sample_indicators(self, rng: np.random.Generator, n: int) -> np.ndarray:
         g = np.asarray(self.sum_dist.as_floats())
         g = g / g.sum()
@@ -171,6 +203,17 @@ def _pair_from_atoms(atoms, j1: int, j2: int) -> Fraction:
         (w for m, w in atoms if (m >> b1) & 1 and (m >> b2) & 1),
         Fraction(0),
     )
+
+
+def _mix_atoms(atoms, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum over atoms (mask, w) of w * prod_j (b[j] if bit j of mask else a[j])."""
+    out = np.zeros(a.shape[1:], dtype=np.result_type(a, b, float))
+    for mask, w in atoms:
+        term = np.full(a.shape[1:], float(w), dtype=out.dtype)
+        for j in range(a.shape[0]):
+            term *= b[j] if (mask >> j) & 1 else a[j]
+        out += term
+    return out
 
 
 def _sample_from_atoms(atoms, d: int, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -166,18 +166,12 @@ def count_extremal(d: int, p) -> int:
 
 def min_convex(d: int, p) -> SumPmf:
     """Convex-order smallest element: mass on the integers bracketing dp."""
-    p = _check_dp(d, p)
-    dp = d * p
-    if dp.denominator == 1:
-        return SumPmf.degenerate(d, int(dp))
-    k1, k2 = math.floor(dp), math.ceil(dp)
-    return SumPmf.two_point(d, k1, k2, (k2 - dp) / (k2 - k1))
+    return min_convex_point(d, p).pmf
 
 
 def max_convex(d: int, p) -> SumPmf:
     """Convex-order largest element: mass (1-p, p) on {0, d} (upper Fréchet sum)."""
-    p = _check_dp(d, p)
-    return SumPmf.two_point(d, 0, d, 1 - p)
+    return max_convex_point(d, p).pmf
 
 
 def min_convex_point(d: int, p) -> ExtremalSumPoint:

@@ -13,10 +13,13 @@ from gfgm import (
     aggregate_discrete_general,
     aggregate_exponential,
     aggregate_uniform,
+    entropic,
     es,
     independence_pmf,
+    max_convex,
     min_convex,
     sample_u,
+    std,
     var,
 )
 from gfgm.drivers import DenseDriver
@@ -124,6 +127,17 @@ class TestDiscreteGeneral:
         margins = example_final_margins()
         dist = aggregate_discrete_general(margins, example_final_driver("r5"))
         assert dist.mean() == pytest.approx(sum(m.mean for m in margins), rel=1e-9)
+
+    @pytest.mark.parametrize("extreme", [min_convex, max_convex])
+    def test_exchangeable_d24_matches_conditional_laws(self, extreme):
+        d, p = 24, F(1, 3)
+        margin = DiscreteMargin.from_power_cdf(0.3, 2, 20)
+        g = extreme(d, p)
+        common = aggregate_discrete_common(margin, d, g, p)
+        general = aggregate_discrete_general([margin] * d, ExchangeableDriver(g))
+        for measure in (lambda x: var(x, 0.95), lambda x: es(x, 0.95),
+                        lambda x: entropic(x, 0.01), std):
+            assert measure(general) == pytest.approx(measure(common), rel=1e-9)
 
 
 class TestExponential:

@@ -6,6 +6,7 @@ import pytest
 from gfgm import (
     DenseDriver,
     DiscreteMargin,
+    ExchangeableDriver,
     ExponentialMargin,
     allocation_report,
     ces_alpha,
@@ -15,6 +16,7 @@ from gfgm import (
     expected_allocation_all,
     expected_contribution,
     independence_pmf,
+    min_convex,
     std,
 )
 from gfgm.bernoulli import BernoulliPmf
@@ -87,6 +89,17 @@ class TestExpectedContribution:
         with pytest.raises(ValueError):
             expected_contribution(1, single_risk_driver("1/2"), margins, 1)
 
+    def test_round_off_probability_rejected(self):
+        # The FFT leaves P(S=y) at round-off level, not exactly 0, for y below
+        # n1 + n2 (for instance n1 = 1, n2 = 5, y = 0).
+        driver = DenseDriver(independence_pmf([F(1, 2), F(1, 3)]))
+        for n1 in range(1, 9):
+            for n2 in range(1, 9):
+                margins = [DiscreteMargin.point_mass(n1), DiscreteMargin.point_mass(n2)]
+                for y in range(n1 + n2):
+                    with pytest.raises(ValueError):
+                        expected_contribution(1, driver, margins, y)
+
 
 class TestCes:
     def test_single_risk_equals_es(self):
@@ -152,6 +165,17 @@ class TestAllocationReport:
         assert sum(report.cstd) == pytest.approx(std(agg), abs=1e-8)
         assert sum(report.var_contributions) == pytest.approx(report.var_s, abs=1e-6)
         assert 0 <= report.beta_s < 1
+
+    def test_exchangeable_d24_identities(self):
+        d = 24
+        driver = ExchangeableDriver(min_convex(d, F(1, 3)))
+        margins = [DiscreteMargin.from_power_cdf(0.2 + 0.01 * j, 2 + j % 3, 20) for j in range(d)]
+        alloc, agg = expected_allocation_all(driver, margins)
+        y = np.arange(alloc.shape[1])
+        assert np.max(np.abs(alloc.sum(axis=0) - y * agg.probs)) < 1e-8
+        report = allocation_report(driver, margins, 0.95)
+        assert sum(report.ces) == pytest.approx(es(agg, 0.95), abs=1e-8)
+        assert sum(report.cstd) == pytest.approx(std(agg), abs=1e-8)
 
     def test_rows_shape(self):
         margins, driver = small_portfolio()

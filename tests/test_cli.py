@@ -120,6 +120,18 @@ class TestAllocate:
         assert len(rows) == 3
         assert "ES_0.9" in err
 
+    def test_scalar_p_portfolio_d24(self, capsys, tmp_path):
+        margins = [{"type": "discrete", "power": {"a": 0.2 + 0.01 * j, "c": 3, "n": 20}}
+                   for j in range(24)]
+        pfile = tmp_path / "portfolio.json"
+        pfile.write_text(json.dumps({"margins": margins, "p": "1/3"}))
+        code, out, err = run(capsys, "allocate", "--portfolio", str(pfile), "--alpha", "0.95")
+        assert code == 0
+        rows = list(csv.reader(out.strip().splitlines()))
+        assert len(rows) == 25
+        es_s = float(err.split("ES_0.95(S) = ")[1].split()[0])
+        assert sum(float(r[2]) for r in rows[1:]) == pytest.approx(es_s, rel=1e-8)
+
 
 class TestReproduce:
     def test_bernoulli_table_passes(self, capsys, tmp_path):
