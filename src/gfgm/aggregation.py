@@ -14,11 +14,14 @@ driver-sum pmf g the sum's law is the mixture sum_k g(k) L_k.
   negative-binomial stage weights (numerically stable at high dimension,
   unlike partial fractions with alternating signs).
 
-Lattice and grid mixtures carry their log-mgf and variance in closed form
-from the split pmfs, so FFT round-off in the far tail, which e^{gamma x}
-would amplify, never reaches the entropic measure.  Heterogeneous discrete
-margins need the whole driver, not just its sum: their law is the inverse FFT
-of ``Driver.mix`` over the per-coordinate split spectra (``split_spectra``).
+The split components Z0 and Z1 (or their grid lumps) are held as
+``LatticeDistribution`` objects in lattice steps, and the mixed law of S is
+one too (``GridDistribution`` on the uniform grid).  Its log-mgf and
+variance come in closed form from the split laws' own log-mgfs and moments,
+so FFT round-off in the far tail, which e^{gamma x} would amplify, never
+reaches the entropic measure.  Heterogeneous discrete margins need the whole
+driver, not just its sum: their law is the inverse FFT of ``Driver.mix`` over
+the per-coordinate split spectra (``split_spectra``).
 """
 
 from __future__ import annotations
@@ -129,19 +132,19 @@ class ConditionalLaws:
         self._split_log_mgfs: dict[float, tuple[float, float]] = {}
 
     @cached_property
-    def _split(self) -> tuple[np.ndarray, np.ndarray]:
-        """Normalized split pmfs on the lattice: Z0 and Z1, or their grid lumps."""
+    def _split(self) -> tuple[LatticeDistribution, LatticeDistribution]:
+        """Laws of Z0 and Z1 (or of their grid lumps) in lattice steps."""
         if isinstance(self.margin, DiscreteMargin):
             z = self.margin.z_pmfs(self.p)
             a, b = z.z0, z.z1
         else:
             a = _discretize_unit_density(v0_stop_loss, self.p, self.h)
             b = _discretize_unit_density(v0v1_stop_loss, self.p, self.h)
-        return a / a.sum(), b / b.sum()
+        return LatticeDistribution(a), LatticeDistribution(b)
 
     @cached_property
     def _spectra(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(np.fft.rfft(z, n=self._length) for z in self._split)
+        return tuple(np.fft.rfft(z.probs, n=self._length) for z in self._split)
 
     def _power(self, which: int, j: int) -> np.ndarray | None:
         """Spectrum of the j-fold convolution of split ``which``, None for j=0."""
@@ -179,16 +182,13 @@ class ConditionalLaws:
 
     @cached_property
     def _split_moments(self) -> list[tuple[float, float]]:
-        """(mean, variance) of each split pmf, in lattice steps."""
-        j = [np.arange(z.size) for z in self._split]
-        return [(jj @ z, (jj - jj @ z) ** 2 @ z) for jj, z in zip(j, self._split)]
+        """(mean, variance) of each split law, in lattice steps."""
+        return [(z.mean(), z.variance()) for z in self._split]
 
     def _log_mgf(self, pairs, t: float) -> float:
         """log E[e^{tS}], S in lattice steps; row k contributes (d-k) log M0(t) + k log M1(t)."""
         if t not in self._split_log_mgfs:
-            self._split_log_mgfs[t] = tuple(
-                log_sum_exp(np.log(z[z > 0]) + t * np.nonzero(z > 0)[0]) for z in self._split
-            )
+            self._split_log_mgfs[t] = tuple(z.log_mgf(t) for z in self._split)
         l0, l1 = self._split_log_mgfs[t]
         return log_sum_exp([math.log(w) + (self.d - k) * l0 + k * l1 for k, w in pairs])
 

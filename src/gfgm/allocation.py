@@ -4,8 +4,9 @@ Everything is driven by the expected-allocation vectors E[X_j 1{S=y}]:
 conditioning on the driver makes the coordinates independent, so the
 vector's spectrum is the driver's mixture (``Driver.mix``) of the same
 products as the law of S, with coordinate j's split spectra replaced by
-their size-biased versions (transforms of k P(Z=k)).  That is d + 1 mixtures
-over spectra computed once.
+their size-biased versions (transforms of k P(Z=k)).  That is one mixture
+for the law of S plus one for each requested risk, over spectra computed
+once: d + 1 for the full allocation, two for a single risk.
 
 The three full-allocation identities,
 
@@ -33,11 +34,10 @@ from .measures import es as es_measure
 _ROUNDOFF_FLOOR = 1e-12
 
 
-def expected_allocation_all(driver, margins) -> tuple[np.ndarray, LatticeDistribution]:
-    """All allocation vectors E[X_j 1{S=y}] plus the aggregate law of S.
+def _allocation(driver, margins, risks) -> tuple[np.ndarray, LatticeDistribution]:
+    """Vectors E[X_j 1{S=y}] for the 0-based ``risks``, plus the law of S.
 
-    Returns a (d, m+1) array over the lattice of S and the matching
-    LatticeDistribution.
+    One driver mixture gives the law of S and one more each risk.
     """
     if not all(isinstance(m, DiscreteMargin) for m in margins):
         raise ValueError(
@@ -52,7 +52,7 @@ def expected_allocation_all(driver, margins) -> tuple[np.ndarray, LatticeDistrib
     s0, s1 = split_spectra(margins, p, length, weight=np.arange(length))
     a, b = z0.copy(), z1.copy()
     alloc_hat = []
-    for j in range(driver.d):
+    for j in risks:
         a[j], b[j] = s0[j], s1[j]
         alloc_hat.append(driver.mix(a, b))
         a[j], b[j] = z0[j], z1[j]
@@ -60,19 +60,28 @@ def expected_allocation_all(driver, margins) -> tuple[np.ndarray, LatticeDistrib
     return np.clip(alloc, 0.0, None), agg
 
 
+def expected_allocation_all(driver, margins) -> tuple[np.ndarray, LatticeDistribution]:
+    """All allocation vectors E[X_j 1{S=y}] plus the aggregate law of S.
+
+    Returns a (d, m+1) array over the lattice of S and the matching
+    LatticeDistribution.
+    """
+    return _allocation(driver, margins, range(len(margins)))
+
+
 def expected_allocation(j: int, driver, margins) -> np.ndarray:
     """E[X_j 1{S=y}] over the lattice of S, for 1-based risk j."""
-    alloc, _ = expected_allocation_all(driver, margins)
-    return alloc[j - 1]
+    alloc, _ = _allocation(driver, margins, [j - 1])
+    return alloc[0]
 
 
 def expected_contribution(j: int, driver, margins, y: int) -> float:
     """E[X_j | S=y]; contributions across j sum to y."""
-    alloc, agg = expected_allocation_all(driver, margins)
+    alloc, agg = _allocation(driver, margins, [j - 1])
     prob = agg.probs[y] if 0 <= y < agg.probs.size else 0.0
     if prob < _ROUNDOFF_FLOOR:
         raise ValueError(f"P(S={y}) = 0 up to FFT round-off: conditional contribution undefined")
-    return float(alloc[j - 1][y] / prob)
+    return float(alloc[0][y] / prob)
 
 
 def _ces_from_alloc(alloc: np.ndarray, agg: LatticeDistribution, means, alpha: float):
@@ -90,10 +99,9 @@ def _ces_from_alloc(alloc: np.ndarray, agg: LatticeDistribution, means, alpha: f
 
 def ces_alpha(j: int, driver, margins, alpha: float) -> float:
     """Euler expected-shortfall contribution of risk j (1-based)."""
-    alloc, agg = expected_allocation_all(driver, margins)
-    means = [m.mean for m in margins]
-    ces, _, _ = _ces_from_alloc(alloc, agg, means, alpha)
-    return ces[j - 1]
+    alloc, agg = _allocation(driver, margins, [j - 1])
+    ces, _, _ = _ces_from_alloc(alloc, agg, [margins[j - 1].mean], alpha)
+    return ces[0]
 
 
 def _cov_matrix(driver, margins):

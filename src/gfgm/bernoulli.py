@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence, Union
 
-from .sums import SumPmf
+from .sums import SumPmf, atom_margins, atom_sum_pmf
 
 RationalLike = Union[Fraction, int, str]
 
@@ -121,11 +121,10 @@ class BernoulliPmf:
         """P(I_j = 1) for 1-based coordinate j."""
         if not 1 <= j <= self.d:
             raise IndexError(f"coordinate {j} out of range 1..{self.d}")
-        idx0 = j - 1
-        return sum((v for m, v in enumerate(self.values) if _bit(m, idx0)), Fraction(0))
+        return self.margins()[j - 1]
 
     def margins(self) -> tuple[Fraction, ...]:
-        return tuple(self.margin(j) for j in range(1, self.d + 1))
+        return atom_margins(self.d, self.atoms())
 
     def to_json(self) -> dict:
         return {"d": self.d, "order": "revlex", "values": [format_fraction(v) for v in self.values]}
@@ -161,19 +160,12 @@ def validate_membership(f: Union[BernoulliPmf, Sequence[RationalLike]], p) -> bo
         raise ValueError(f"margin vector has length {pv.d}, pmf has dimension {d}")
     if any(v < 0 for v in values) or sum(values) != 1:
         return False
-    for j in range(d):
-        mj = sum((v for m, v in enumerate(values) if _bit(m, j)), Fraction(0))
-        if mj != pv.probs[j]:
-            return False
-    return True
+    return atom_margins(d, [(m, v) for m, v in enumerate(values) if v]) == pv.probs
 
 
 def sum_pmf(f: BernoulliPmf) -> SumPmf:
     """Distribution of the component sum, grouped by Hamming weight."""
-    out = [Fraction(0)] * (f.d + 1)
-    for m, v in enumerate(f.values):
-        out[m.bit_count()] += v
-    return SumPmf(f.d, tuple(out))
+    return atom_sum_pmf(f.d, f.atoms())
 
 
 def exchangeable_lift(g: SumPmf) -> BernoulliPmf:

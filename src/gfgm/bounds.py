@@ -107,14 +107,7 @@ def _report(margin, d, p, measures, labels, rows, metadata, fixed=False) -> Risk
                       metadata)
 
 
-def bounds_common_p(
-    margin,
-    d: int,
-    p,
-    measures,
-    grid_h: float | None = None,
-    check_convex: bool = True,
-) -> RiskReport:
+def bounds_common_p(margin, d: int, p, measures, grid_h: float | None = None) -> RiskReport:
     """Full enumeration over the analytic extremal points of the sum class.
 
     ``margin`` is a margin object or the string "bernoulli" (measure the
@@ -132,22 +125,21 @@ def bounds_common_p(
                 "grid_h": grid_h, "path": "common-p"}
     report = _report(_margin_desc(margin), d, format_fraction(p), measures, labels, rows, metadata)
 
-    if check_convex:
-        lo_idx = min_convex_point(d, p).index - 1
-        hi_idx = max_convex_point(d, p).index - 1
-        for m in (m for m in measures if m.is_convex):
-            lo, hi, vals = report.minima[m.label], report.maxima[m.label], report.values[m.label]
-            slack = _CONVEX_CHECK_RTOL * max(1.0, abs(lo[0]), abs(hi[0]))
-            if lo[0] < vals[lo_idx] - slack:
-                raise ConvexBoundViolation(
-                    f"{m.label}: minimum {lo} undercuts the convex-order "
-                    f"smallest point {labels[lo_idx]} ({vals[lo_idx]})"
-                )
-            if hi[0] > vals[hi_idx] + slack:
-                raise ConvexBoundViolation(
-                    f"{m.label}: maximum {hi} exceeds the upper Fréchet "
-                    f"point {labels[hi_idx]} ({vals[hi_idx]})"
-                )
+    lo_idx = min_convex_point(d, p).index - 1
+    hi_idx = max_convex_point(d, p).index - 1
+    for m in (m for m in measures if m.is_convex):
+        lo, hi, vals = report.minima[m.label], report.maxima[m.label], report.values[m.label]
+        slack = _CONVEX_CHECK_RTOL * max(1.0, abs(lo[0]), abs(hi[0]))
+        if lo[0] < vals[lo_idx] - slack:
+            raise ConvexBoundViolation(
+                f"{m.label}: minimum {lo} undercuts the convex-order "
+                f"smallest point {labels[lo_idx]} ({vals[lo_idx]})"
+            )
+        if hi[0] > vals[hi_idx] + slack:
+            raise ConvexBoundViolation(
+                f"{m.label}: maximum {hi} exceeds the upper Fréchet "
+                f"point {labels[hi_idx]} ({vals[hi_idx]})"
+            )
     return report
 
 
@@ -178,12 +170,7 @@ def convex_bounds_fast(margin, d: int, p, measures, grid_h: float | None = None)
 
 
 def bounds_general_p(
-    margins: list[Margin],
-    p_vector,
-    measures,
-    mc_n: int = 10**6,
-    seed: int = 0,
-    cap: int = 5,
+    margins: list[Margin], p_vector, measures, mc_n: int = 10**6, seed: int = 0
 ) -> RiskReport:
     """Bounds by exact vertex enumeration for heterogeneous margin parameters.
 
@@ -197,7 +184,7 @@ def bounds_general_p(
     if len(margins) != d:
         raise ValueError(f"need {d} margins, got {len(margins)}")
     measures = _normalize_measures(measures)
-    vertices = enumerate_vertices(pv, cap=cap)
+    vertices = enumerate_vertices(pv)
     labels = [f"v{i + 1}" for i in range(len(vertices))]
     all_discrete = all(isinstance(m, DiscreteMargin) for m in margins)
     t0 = time.perf_counter()

@@ -88,6 +88,8 @@ def _fmt(x: float) -> str:
 def cmd_extremal(args) -> int:
     p = _parse_p(args.p)
     if isinstance(p, list):
+        if args.format != "json":
+            raise ValueError("vertex enumeration (vector --p) writes JSON only; drop --format")
         return cmd_vertices(args)
     if args.d is None:
         raise ValueError("--d is required with a scalar --p")
@@ -150,6 +152,7 @@ def cmd_bounds(args) -> int:
 
 
 def _load_portfolio(path: str):
+    """Margins and driver of a portfolio file; a scalar "p" stands for the convex minimum."""
     with open(path) as fh:
         obj = json.load(fh)
     margins = [margin_from_json(m) for m in obj["margins"]]
@@ -158,14 +161,12 @@ def _load_portfolio(path: str):
     if "driver" in obj:
         driver = driver_from_json(obj["driver"])
     elif p is not None and not isinstance(p, list):
-        d = len(margins)
-        driver = ExchangeableDriver(min_convex(d, as_fraction(p)))
-    measures = obj.get("measures", [])
-    return margins, p, driver, measures
+        driver = ExchangeableDriver(min_convex(len(margins), as_fraction(p)))
+    return margins, driver
 
 
 def cmd_allocate(args) -> int:
-    margins, _, driver, _ = _load_portfolio(args.portfolio)
+    margins, driver = _load_portfolio(args.portfolio)
     if driver is None:
         raise ValueError("portfolio file must name a driver (or a scalar p) for allocation")
     report = allocation_report(driver, margins, args.alpha)
@@ -298,10 +299,10 @@ def build_parser() -> _Parser:
     common(sp)
     sp.set_defaults(func=cmd_extremal)
 
-    sp = sub.add_parser("vertices", help="exact vertex enumeration for a margin vector")
+    sp = sub.add_parser("vertices", help="exact vertex enumeration for a margin vector (JSON)")
     sp.add_argument("--p", required=True)
     sp.add_argument("--cap", type=int, default=5)
-    common(sp)
+    sp.add_argument("--out", default=None, help="output file (default: stdout)")
     sp.set_defaults(func=cmd_vertices)
 
     sp = sub.add_parser("bounds", help="sharp bounds over the dependence class")

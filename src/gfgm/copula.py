@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .bernoulli import nu_coefficients
-from .drivers import DenseDriver, Driver, ExchangeableDriver, as_driver
+from .drivers import DenseDriver, Driver, as_driver
 from .margins import Margin, v0_cdf, v0v1_cdf
 
 
@@ -74,8 +74,6 @@ class GfgmSpec:
 
     @cached_property
     def _nu(self) -> dict[tuple[int, ...], Fraction]:
-        if isinstance(self.driver, ExchangeableDriver) and self.d > 20:
-            raise ValueError("nu expansion unavailable: driver atoms would not fit")
         from .bernoulli import BernoulliPmf
 
         if isinstance(self.driver, DenseDriver):
@@ -113,20 +111,19 @@ def _check_cube(u: np.ndarray, d: int):
         raise ValueError("points must lie inside the unit cube")
 
 
-def copula_cdf(spec: GfgmSpec, u, method: str = "auto") -> np.ndarray | float:
+def copula_cdf(spec: GfgmSpec, u, method: str = "mixture") -> np.ndarray | float:
     """Copula cdf at one point (shape (d,)) or a batch (shape (m, d)).
 
     ``method`` selects the evaluation route: "mixture" conditions on the
     driver, mixing products of the conditional cdfs with ``Driver.mix``
     (cost proportional to the atom count, or O(d^2) for an exchangeable
-    driver), "nu" uses the coefficient expansion (small d), "auto" prefers
-    the mixture.
+    driver), "nu" uses the coefficient expansion (small d).
     """
     u = np.asarray(u, dtype=float)
     scalar = u.ndim == 1
     pts = np.atleast_2d(u)
     _check_cube(pts, spec.d)
-    if method not in ("auto", "mixture", "nu"):
+    if method not in ("mixture", "nu"):
         raise ValueError(f"unknown method {method!r}")
 
     if method == "nu":

@@ -1,12 +1,13 @@
 """Representations of the aggregate-sum distribution and their primitives.
 
-Four interchangeable forms, each exposing the same primitives (mean,
-variance, cdf, quantile, stop-loss transform, log-mgf) that the risk-measure
-layer builds on:
+Three forms, each exposing the same primitives (mean, variance, cdf,
+quantile, stop-loss transform, log-mgf) that the risk-measure layer builds
+on:
 
-* LatticeDistribution: pmf on the integers 0..m (discrete margins),
-* GridDistribution: pmf lumped on a step-h lattice (uniform margins), both
-  optionally with a closed-form log-mgf and variance in place of pmf sums,
+* LatticeDistribution: pmf on a step-h lattice {0, h, 2h, ...}, optionally
+  with a closed-form log-mgf and variance in place of pmf sums.  It answers
+  for discrete margins and their split components (h = 1), for discrete sums,
+  and, as the GridDistribution subclass, for uniform sums lumped on a grid,
 * MixedErlangDistribution: countable Erlang(beta) mixture (exponential
   margins), evaluated analytically from its component weights,
 * EmpiricalDistribution: a sorted Monte Carlo sample.
@@ -35,11 +36,17 @@ def log_sum_exp(values) -> float:
 
 
 class LatticeDistribution:
-    """pmf on {0, 1, ..., m}; exact ``log_mgf(gamma)`` and ``variance``, if given, win."""
+    """pmf on the lattice {0, h, 2h, ...}, step h = 1 here (the integers).
+
+    Every primitive scales by h.  An exact ``log_mgf(t)`` and ``variance``,
+    if given, are in lattice steps (t = gamma * h) and win over pmf sums.
+    """
 
     kind = "lattice"
+    h = 1.0
+    _node_slack = 0.0  # the cdf counts a node this many steps above x
 
-    def __init__(self, probs, renormalize: bool = True, log_mgf=None, variance=None):
+    def __init__(self, probs, log_mgf=None, variance=None):
         probs = np.asarray(probs, dtype=float)
         if probs.min() < -1e-9:
             raise ValueError(f"pmf entry {probs.min()} too negative for round-off")
@@ -47,9 +54,9 @@ class LatticeDistribution:
         total = probs.sum()
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"pmf mass {total} deviates from 1 beyond 1e-10")
-        self.probs = probs / total if renormalize else probs
+        self.probs = probs / total
         self._cdf = np.cumsum(self.probs)
-        self.support = np.arange(probs.size, dtype=float)
+        self.support = np.arange(probs.size, dtype=float)  # in lattice steps
         self._exact_log_mgf = log_mgf
         self._exact_variance = variance
 
@@ -58,61 +65,44 @@ class LatticeDistribution:
         return cls(np.asarray(g.as_floats()))
 
     def mean(self) -> float:
-        return float(np.dot(self.support, self.probs))
+        return self.h * float(np.dot(self.support, self.probs))
 
     def variance(self) -> float:
         if self._exact_variance is not None:
-            return self._exact_variance
-        m = self.mean()
-        return float(np.dot((self.support - m) ** 2, self.probs))
+            return self.h**2 * self._exact_variance
+        m = float(np.dot(self.support, self.probs))
+        return self.h**2 * float(np.dot((self.support - m) ** 2, self.probs))
 
     def cdf(self, x) -> np.ndarray | float:
-        idx = np.clip(np.floor(np.asarray(x, dtype=float)).astype(int), -1, self.probs.size - 1)
+        steps = np.asarray(x, dtype=float) / self.h + self._node_slack
+        idx = np.clip(np.floor(steps).astype(int), -1, self.probs.size - 1)
         padded = np.concatenate([[0.0], self._cdf])
         return padded[idx + 1]
 
     def quantile(self, level: float) -> float:
-        return float(np.searchsorted(self._cdf, level - _CDF_SLACK, side="left"))
+        return self.h * float(np.searchsorted(self._cdf, level - _CDF_SLACK, side="left"))
 
     def stop_loss(self, t: float) -> float:
-        return float(np.dot(np.clip(self.support - t, 0.0, None), self.probs))
+        return self.h * float(np.dot(np.clip(self.support - t / self.h, 0.0, None), self.probs))
 
     def log_mgf(self, gamma: float) -> float:
+        t = gamma * self.h
         if self._exact_log_mgf is not None:
-            return self._exact_log_mgf(gamma)
+            return self._exact_log_mgf(t)
         mask = self.probs > 0
-        return log_sum_exp(np.log(self.probs[mask]) + gamma * self.support[mask])
+        return log_sum_exp(np.log(self.probs[mask]) + t * self.support[mask])
 
 
-class GridDistribution:
-    """pmf lumped on the lattice {0, h, 2h, ...}; exact moments are in lattice steps."""
+class GridDistribution(LatticeDistribution):
+    """pmf lumped on the lattice {0, h, 2h, ...} of a grid step h > 0."""
 
     kind = "grid"
 
     def __init__(self, h: float, probs, log_mgf=None, variance=None):
         if h <= 0:
             raise ValueError("grid step must be positive")
-        self.h = float(h)
-        self._lattice = LatticeDistribution(probs, log_mgf=log_mgf, variance=variance)
-        self.probs = self._lattice.probs
-
-    def mean(self) -> float:
-        return self.h * self._lattice.mean()
-
-    def variance(self) -> float:
-        return self.h**2 * self._lattice.variance()
-
-    def cdf(self, x) -> np.ndarray | float:
-        return self._lattice.cdf(np.asarray(x, dtype=float) / self.h + 1e-9)
-
-    def quantile(self, level: float) -> float:
-        return self.h * self._lattice.quantile(level)
-
-    def stop_loss(self, t: float) -> float:
-        return self.h * self._lattice.stop_loss(t / self.h)
-
-    def log_mgf(self, gamma: float) -> float:
-        return self._lattice.log_mgf(gamma * self.h)
+        super().__init__(probs, log_mgf=log_mgf, variance=variance)
+        self.h, self._node_slack = float(h), 1e-9
 
 
 class MixedErlangDistribution:
@@ -244,6 +234,4 @@ class EmpiricalDistribution:
         return log_sum_exp(gamma * self.samples) - float(np.log(self.n))
 
 
-AggregateDistribution = (
-    LatticeDistribution | GridDistribution | MixedErlangDistribution | EmpiricalDistribution
-)
+AggregateDistribution = LatticeDistribution | MixedErlangDistribution | EmpiricalDistribution

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bernoulli import BernoulliPmf, as_fraction, format_fraction
-from .sums import BlockPmf, SumPmf
+from .sums import BlockPmf, SumPmf, atom_margins, atom_sum_pmf
 
 _ATOM_EXPANSION_CAP = 20
 
@@ -45,9 +45,7 @@ class DenseDriver:
         return self.pmf.margins()
 
     def sum_pmf(self) -> SumPmf:
-        from .bernoulli import sum_pmf
-
-        return sum_pmf(self.pmf)
+        return atom_sum_pmf(self.d, self.atoms())
 
     def atoms(self) -> list[tuple[int, Fraction]]:
         return self.pmf.atoms()
@@ -83,16 +81,10 @@ class AtomDriver:
         return cls(blocks.d, tuple(blocks.atoms()))
 
     def margins(self) -> tuple[Fraction, ...]:
-        out = []
-        for j in range(self.d):
-            out.append(sum((w for m, w in self.atom_list if (m >> j) & 1), Fraction(0)))
-        return tuple(out)
+        return atom_margins(self.d, self.atom_list)
 
     def sum_pmf(self) -> SumPmf:
-        values = [Fraction(0)] * (self.d + 1)
-        for m, w in self.atom_list:
-            values[m.bit_count()] += w
-        return SumPmf(self.d, tuple(values))
+        return atom_sum_pmf(self.d, self.atom_list)
 
     def atoms(self) -> list[tuple[int, Fraction]]:
         return list(self.atom_list)

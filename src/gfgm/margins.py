@@ -24,6 +24,9 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate
 
+from . import measures
+from .distributions import LatticeDistribution
+
 
 def _p_float(p) -> float:
     if isinstance(p, Fraction):
@@ -182,9 +185,10 @@ class DiscreteMargin:
         total = pmf.sum()
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"pmf must sum to 1 within 1e-12, got {total}")
-        self.pmf = np.clip(pmf, 0.0, None) / total
+        self._law = LatticeDistribution(pmf)
+        self.pmf = self._law.probs
         self._cdf = np.cumsum(self.pmf)
-        self._cdf[-1] = 1.0
+        self._cdf[-1] = 1.0  # the split cdfs below need F(n) = 1 exactly
         self.n = pmf.size - 1
 
     @classmethod
@@ -207,31 +211,24 @@ class DiscreteMargin:
 
     @property
     def mean(self) -> float:
-        return float(np.dot(np.arange(self.n + 1), self.pmf))
+        return self._law.mean()
 
     @property
     def var(self) -> float:
-        k = np.arange(self.n + 1)
-        return float(np.dot(k * k, self.pmf) - self.mean**2)
+        return self._law.variance()
 
     def cdf(self, x):
-        x = np.floor(np.asarray(x, dtype=float)).astype(int)
-        x = np.clip(x, -1, self.n)
-        padded = np.concatenate([[0.0], self._cdf])
-        return padded[x + 1]
+        return self._law.cdf(x)
 
     def ppf(self, u):
         u = np.asarray(u, dtype=float)
         return np.searchsorted(self._cdf, u - 1e-12, side="left").astype(float)
 
-    def quantile(self, alpha: float) -> int:
-        return int(np.searchsorted(self._cdf, alpha - 1e-12, side="left"))
+    def quantile(self, alpha: float) -> float:
+        return self._law.quantile(alpha)
 
     def es(self, alpha: float) -> float:
-        v = self.quantile(alpha)
-        k = np.arange(self.n + 1)
-        tail = np.dot(np.clip(k - v, 0, None), self.pmf)
-        return v + tail / (1.0 - alpha)
+        return measures.es(self._law, alpha)
 
     def ltvar(self, alpha: float) -> float:
         """(1/a) * int_0^a VaR_u du by exact partial sums over the cdf jumps."""

@@ -79,6 +79,24 @@ class SumPmf:
         return cls(d, tuple(values))
 
 
+def atom_margins(d: int, atoms) -> tuple[Fraction, ...]:
+    """P(I_j = 1), j = 1..d, of the Bernoulli pmf given as (mask, weight) atoms."""
+    out = [Fraction(0)] * d
+    for mask, w in atoms:
+        for j in range(d):
+            if (mask >> j) & 1:
+                out[j] += w
+    return tuple(out)
+
+
+def atom_sum_pmf(d: int, atoms) -> SumPmf:
+    """Law of the component sum of the Bernoulli pmf given as (mask, weight) atoms."""
+    values = [Fraction(0)] * (d + 1)
+    for mask, w in atoms:
+        values[mask.bit_count()] += w
+    return SumPmf(d, tuple(values))
+
+
 @dataclass(frozen=True)
 class ExtremalSumPoint:
     """Extremal pmf of the fixed-mean class: two-point or degenerate.
@@ -230,14 +248,10 @@ class BlockPmf:
         return list(zip(self.masks, self.weights))
 
     def margin(self, j: int) -> Fraction:
-        idx0 = j - 1
-        return sum((w for m, w in self.atoms() if (m >> idx0) & 1), Fraction(0))
+        return atom_margins(self.d, self.atoms())[j - 1]
 
     def sum_pmf(self) -> SumPmf:
-        values = [Fraction(0)] * (self.d + 1)
-        for m, w in self.atoms():
-            values[m.bit_count()] += w
-        return SumPmf(self.d, tuple(values))
+        return atom_sum_pmf(self.d, self.atoms())
 
 
 def sigma_cx_smallest_blocks(d: int, p) -> BlockPmf:

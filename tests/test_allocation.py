@@ -182,3 +182,28 @@ class TestAllocationReport:
         report = allocation_report(driver, margins, 0.8)
         rows = report.to_rows()
         assert [r["risk"] for r in rows] == [1, 2, 3]
+
+
+class TestSingleRisk:
+    """A per-risk call mixes the law of S and its own row only, and equals that row."""
+
+    @pytest.mark.parametrize("exchangeable", [True, False])
+    def test_two_mixtures_and_the_full_rows(self, monkeypatch, exchangeable):
+        d = 6
+        driver = ExchangeableDriver(min_convex(d, F(1, 3)))
+        if not exchangeable:
+            driver = DenseDriver(independence_pmf([F(1, 3)] * d))
+        margins = [DiscreteMargin.from_power_cdf(0.2 + 0.05 * j, 2 + j % 3, 12) for j in range(d)]
+        alloc, agg = expected_allocation_all(driver, margins)
+        report = allocation_report(driver, margins, 0.9)
+        y = int(report.var_s)
+        calls = []
+        mix = type(driver).mix
+        monkeypatch.setattr(type(driver), "mix", lambda self, a, b: calls.append(1) or mix(self, a, b))
+        for j in range(1, d + 1):
+            calls.clear()
+            np.testing.assert_array_equal(expected_allocation(j, driver, margins), alloc[j - 1])
+            assert len(calls) == 2
+            assert ces_alpha(j, driver, margins, 0.9) == report.ces[j - 1]
+            assert expected_contribution(j, driver, margins, y) == report.var_contributions[j - 1]
+            assert len(calls) == 6

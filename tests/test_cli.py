@@ -54,6 +54,13 @@ class TestVertices:
         code, _, _ = run(capsys, "vertices", "--p", ",".join(["1/2"] * 6))
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["vertices", "extremal"])
+    def test_csv_format_is_usage_error(self, capsys, command):
+        code, out, err = run(capsys, command, "--p", "1/2,1/3", "--format", "csv")
+        assert code == 3
+        assert out == ""
+        assert "--format" in err.strip().splitlines()[-1]
+
 
 class TestBounds:
     def test_fast_exponential_report(self, capsys, tmp_path):
