@@ -20,8 +20,9 @@ one too (``GridDistribution`` on the uniform grid).  Its log-mgf and
 variance come in closed form from the split laws' own log-mgfs and moments,
 so FFT round-off in the far tail, which e^{gamma x} would amplify, never
 reaches the entropic measure.  Heterogeneous discrete margins need the whole
-driver, not just its sum: their law is the inverse FFT of ``Driver.mix`` over
-the per-coordinate split spectra (``split_spectra``).
+driver, not just its sum: ``SplitTable`` holds their per-coordinate split
+laws, and the law of S is the inverse FFT of ``Driver.mix`` over the split
+spectra, with the log-mgf and variance again in closed form.
 """
 
 from __future__ import annotations
@@ -220,39 +221,101 @@ def aggregate_discrete_common(margin: DiscreteMargin, d: int, sum_pmf, p) -> Lat
     return ConditionalLaws(margin, d, p).mix(sum_pmf)
 
 
-def split_spectra(margins, p, length: int, weight=None) -> tuple[np.ndarray, np.ndarray]:
-    """rfft of every margin's split pmfs Z0_j and Z1_j at p_j, as two (d, length//2+1) arrays.
+def split_pmfs(margins, p) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split pmfs (Z0_j, Z1_j) of every discrete margin at its p_j."""
+    return [(z.z0, z.z1) for z in (m.z_pmfs(q) for m, q in zip(margins, p))]
+
+
+def split_spectra(pairs, length: int, weight=None) -> tuple[np.ndarray, np.ndarray]:
+    """rfft of every pair of split pmfs, as two (d, length//2+1) arrays.
 
     ``weight``, indexed by lattice point, multiplies each pmf first:
     ``np.arange(length)`` gives the transforms of k P(Z=k).
     """
-    rows = np.zeros((2, len(margins), length))
-    for j, (margin, pj) in enumerate(zip(margins, p)):
-        z = margin.z_pmfs(pj)
-        for which, pmf in enumerate((z.z0, z.z1)):
+    rows = np.zeros((2, len(pairs), length))
+    for j, pair in enumerate(pairs):
+        for which, pmf in enumerate(pair):
             rows[which, j, : pmf.size] = pmf if weight is None else weight[: pmf.size] * pmf
     z0, z1 = np.fft.rfft(rows, axis=2)
     return z0, z1
 
 
-def _portfolio_lattice(margins, driver) -> tuple[int, int]:
-    """(size, FFT length) of the lattice of a heterogeneous discrete sum."""
-    if len(margins) != driver.d:
-        raise ValueError(f"need {driver.d} margins, got {len(margins)}")
+def _portfolio_lattice(margins, d: int) -> tuple[int, int]:
+    """(size, FFT length) of the lattice of a sum of d heterogeneous discrete margins."""
+    if len(margins) != d:
+        raise ValueError(f"need {d} margins, got {len(margins)}")
     size = sum(m.n for m in margins) + 1
     return size, next_fast_len(size, real=True)
 
 
-def aggregate_discrete_general(margins: list[DiscreteMargin], driver) -> LatticeDistribution:
+class SplitTable:
+    """Split laws Z0_j, Z1_j of heterogeneous discrete margins at their p_j.
+
+    Nothing here depends on the driver, so a call that aggregates under many
+    drivers with the same margins and p builds one table.  ``law(driver)``
+    gives the sum's lattice law: the pmf is the inverse FFT of ``Driver.mix``
+    over the split spectra, the log-mgf is the log of ``Driver.mix`` over the
+    split mgfs, and the variance is E Var(S|I) + Var E(S|I) from the split
+    means and variances, so FFT round-off in the far tail, which e^{gamma x}
+    would amplify, never reaches the entropic measure.
+    """
+
+    def __init__(self, margins, p):
+        self.d = len(p)
+        self.size, self.length = _portfolio_lattice(margins, self.d)
+        pairs = split_pmfs(margins, p)
+        z0, z1 = split_spectra(pairs, self.length)
+        # Mixing 0 where coordinate j is k or l, else 1, gives P(I_k = I_l = 1):
+        # these d^2 columns ride along with the spectra in one driver mixture.
+        hit = np.eye(self.d, dtype=bool)
+        hit = (hit[:, :, None] | hit[:, None, :]).reshape(self.d, -1)
+        self._columns = (np.hstack([z0, np.where(hit, 0.0, 1.0)]),
+                         np.hstack([z1, np.ones(hit.shape)]))
+        self._split = [tuple(LatticeDistribution(z) for z in pair) for pair in pairs]
+        (self._m0, self._m1), (self._v0, self._v1) = np.array(
+            [[[z.mean() for z in pair] for pair in self._split],
+             [[z.variance() for z in pair] for pair in self._split]]).transpose(0, 2, 1)
+        self._scaled_mgfs: dict[float, tuple] = {}
+
+    def _log_mgf(self, driver, t: float) -> float:
+        """log E[e^{tS}] = log mix(M0_j(t), M1_j(t)), each coordinate scaled by its larger mgf."""
+        if t not in self._scaled_mgfs:
+            l0, l1 = np.array([[z.log_mgf(t) for z in pair] for pair in self._split]).T
+            top = np.maximum(l0, l1)
+            self._scaled_mgfs[t] = float(top.sum()), np.exp(l0 - top), np.exp(l1 - top)
+        log_scale, a, b = self._scaled_mgfs[t]
+        mixed = float(driver.mix(a, b))
+        if not mixed > 0.0:
+            raise ArithmeticError(f"mixture of split mgfs at t={t} underflows")
+        return log_scale + math.log(mixed)
+
+    def _variance(self, joint: np.ndarray) -> float:
+        """sum_j E Var(Z_{I_j}) + Var(sum_j I_j (E Z1_j - E Z0_j)), from the pair
+        probabilities joint[k, l] = P(I_k = I_l = 1)."""
+        p, gap = np.diag(joint), self._m1 - self._m0
+        within = (1.0 - p) @ self._v0 + p @ self._v1
+        return float(within + gap @ joint @ gap - (p @ gap) ** 2)
+
+    def law(self, driver) -> LatticeDistribution:
+        if driver.d != self.d:
+            raise ValueError(f"driver of dimension {driver.d} for a table of {self.d} margins")
+        mixed = driver.mix(*self._columns)
+        spectrum, joint = mixed[: -self.d**2], mixed[-self.d**2:].real.reshape(self.d, self.d)
+        return LatticeDistribution(_ifft_pmf(spectrum, self.length, self.size),
+                                   log_mgf=partial(self._log_mgf, driver),
+                                   variance=self._variance(joint))
+
+
+def aggregate_discrete_general(margins: list[DiscreteMargin], driver,
+                               table: SplitTable | None = None) -> LatticeDistribution:
     """Sum with heterogeneous discrete margins, p_j from the driver margins.
 
-    Given the driver the coordinates are independent, so the sum's spectrum
-    is the driver's mixture of products of the split spectra.
+    Given the driver the coordinates are independent, so the sum's law is the
+    driver's mixture over the split laws (``SplitTable.law``), from the
+    call's ``table`` if given.
     """
     driver = as_driver(driver)
-    size, length = _portfolio_lattice(margins, driver)
-    z0, z1 = split_spectra(margins, driver.margins(), length)
-    return LatticeDistribution(_ifft_pmf(driver.mix(z0, z1), length, size))
+    return (table or SplitTable(margins, driver.margins())).law(driver)
 
 
 def aggregate_exponential(rate: float, d: int, sum_pmf, p) -> MixedErlangDistribution:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import _ifft_pmf, _portfolio_lattice, split_spectra
+from .aggregation import _ifft_pmf, _portfolio_lattice, split_pmfs, split_spectra
 from .distributions import LatticeDistribution
 from .drivers import as_driver
 from .margins import DiscreteMargin
@@ -45,11 +45,11 @@ def _allocation(driver, margins, risks) -> tuple[np.ndarray, LatticeDistribution
             "continuous margins explicitly"
         )
     driver = as_driver(driver)
-    size, length = _portfolio_lattice(margins, driver)
-    p = driver.margins()
-    z0, z1 = split_spectra(margins, p, length)
+    size, length = _portfolio_lattice(margins, driver.d)
+    pairs = split_pmfs(margins, driver.margins())
+    z0, z1 = split_spectra(pairs, length)
     agg = LatticeDistribution(_ifft_pmf(driver.mix(z0, z1), length, size))
-    s0, s1 = split_spectra(margins, p, length, weight=np.arange(length))
+    s0, s1 = split_spectra(pairs, length, weight=np.arange(length))
     a, b = z0.copy(), z1.copy()
     alloc_hat = []
     for j in risks:

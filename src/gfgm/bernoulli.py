@@ -25,6 +25,8 @@ RationalLike = Union[Fraction, int, str]
 # Dense 2^d storage is capped; larger dimensions go through the
 # exchangeable / sparse-atom representations.
 MAX_DENSE_DIM = 25
+# The full dependence-coefficient map has 2^d - d - 1 entries.
+MAX_NU_DIM = 20
 
 
 def as_fraction(x: RationalLike) -> Fraction:
@@ -104,9 +106,9 @@ class BernoulliPmf:
         values = tuple(as_fraction(v) for v in self.values)
         if len(values) != 1 << self.d:
             raise ValueError(f"expected {1 << self.d} entries for d={self.d}, got {len(values)}")
-        if any(v < 0 for v in values):
+        if any(v.numerator < 0 for v in values):
             raise ValueError("pmf entries must be nonnegative")
-        if sum(values) != 1:
+        if sum(v for v in values if v) != 1:  # vertices are mostly zeros
             raise ValueError("pmf entries must sum to exactly 1")
         object.__setattr__(self, "values", values)
 
@@ -115,7 +117,7 @@ class BernoulliPmf:
 
     def atoms(self) -> list[tuple[int, Fraction]]:
         """Nonzero entries as (mask, weight) pairs."""
-        return [(m, v) for m, v in enumerate(self.values) if v != 0]
+        return [(m, v) for m, v in enumerate(self.values) if v]
 
     def margin(self, j: int) -> Fraction:
         """P(I_j = 1) for 1-based coordinate j."""
@@ -196,17 +198,21 @@ def nu_coefficient(f: BernoulliPmf, p, subset: Sequence[int]) -> Fraction:
     return total
 
 
+def _check_nu_dim(d: int):
+    if d > MAX_NU_DIM:
+        raise ValueError(f"full coefficient map not offered for d={d} > {MAX_NU_DIM}")
+
+
 def nu_coefficients(f: BernoulliPmf, p) -> dict[tuple[int, ...], Fraction]:
     """All dependence coefficients, keyed by the coordinate subset.
 
     Cost grows with 2^d times the support size, so the full map is only
-    offered up to d = 20; use :func:`nu_coefficient` for single subsets.
+    offered up to d = MAX_NU_DIM; use :func:`nu_coefficient` for single subsets.
     """
     pv = margin_vector(p)
     if f.d != pv.d:
         raise ValueError("dimension mismatch between pmf and margins")
-    if f.d > 20:
-        raise ValueError(f"full coefficient map not offered for d={f.d} > 20")
+    _check_nu_dim(f.d)
     atoms = f.atoms()
     # Pre-divide the centered indicators once per coordinate.
     centered = [

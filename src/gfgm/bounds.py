@@ -22,12 +22,13 @@ breaks down (the engine exposes that counterexample in the tests).
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregation import ConditionalLaws, aggregate, aggregate_discrete_general
+from .aggregation import ConditionalLaws, SplitTable, aggregate, aggregate_discrete_general
 from .bernoulli import as_fraction, format_fraction, margin_vector
 from .copula import GfgmSpec, sample_x
 from .distributions import EmpiricalDistribution
@@ -185,15 +186,16 @@ def bounds_general_p(
         raise ValueError(f"need {d} margins, got {len(margins)}")
     measures = _normalize_measures(measures)
     vertices = enumerate_vertices(pv)
-    labels = [f"v{i + 1}" for i in range(len(vertices))]
+    labels = [sys.intern(f"v{i + 1}") for i in range(len(vertices))]  # shared across reports
     all_discrete = all(isinstance(m, DiscreteMargin) for m in margins)
     t0 = time.perf_counter()
+    table = SplitTable(margins, pv.probs) if all_discrete else None  # one per call
 
     rows = []
     mc_se = []
     for i, vertex in enumerate(vertices):
         if all_discrete:
-            dist = aggregate_discrete_general(margins, vertex)
+            dist = aggregate_discrete_general(margins, vertex, table=table)
         else:
             spec = GfgmSpec(pv.probs, DenseDriver(vertex))
             draws = sample_x(spec, margins, mc_n, seed=seed + i)

@@ -42,8 +42,20 @@ def _parse_p(text: str):
     parts = [s.strip() for s in text.split(",") if s.strip()]
     if not parts:
         raise ValueError("empty margin parameter")
-    values = [as_fraction(s) for s in parts]
+    try:
+        values = [as_fraction(s) for s in parts]
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in margin parameter {text!r}") from None
     return values[0] if len(values) == 1 else values
+
+
+def _load_object(path: str) -> dict:
+    """A JSON file whose top level must be an object."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _parse_margin(text: str):
@@ -54,9 +66,7 @@ def _parse_margin(text: str):
     if text.startswith("exp:"):
         return ExponentialMargin(float(text.split(":", 1)[1]))
     if text.startswith("discrete:"):
-        path = text.split(":", 1)[1]
-        with open(path) as fh:
-            return margin_from_json(json.load(fh))
+        return margin_from_json(_load_object(text.split(":", 1)[1]))
     raise ValueError(f"cannot parse margin {text!r} (exp:RATE | discrete:FILE | uniform | bernoulli)")
 
 
@@ -153,8 +163,7 @@ def cmd_bounds(args) -> int:
 
 def _load_portfolio(path: str):
     """Margins and driver of a portfolio file; a scalar "p" stands for the convex minimum."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = _load_object(path)
     margins = [margin_from_json(m) for m in obj["margins"]]
     p = obj.get("p")
     driver = None
@@ -210,8 +219,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    with open(args.spec) as fh:
-        obj = json.load(fh)
+    obj = _load_object(args.spec)
     spec = GfgmSpec.from_json(obj)
     if "margins" in obj:
         margins = [margin_from_json(m) for m in obj["margins"]]
@@ -226,8 +234,7 @@ def cmd_sample(args) -> int:
 
 def cmd_validate(args) -> int:
     """Monte Carlo cross-check of the analytic aggregation paths."""
-    with open(args.spec) as fh:
-        obj = json.load(fh)
+    obj = _load_object(args.spec)
     spec = GfgmSpec.from_json(obj)
     margins = [margin_from_json(m) for m in obj.get("margins", [{"type": "uniform"}] * spec.d)]
     n = args.n
@@ -288,15 +295,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="gfgm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(sp):
-        sp.add_argument("--out", default=None, help="output file (default: stdout)")
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
-
     sp = sub.add_parser("extremal", help="extremal sum pmfs (scalar p) or vertices (vector p)")
     sp.add_argument("--d", type=int, default=None)
     sp.add_argument("--p", required=True, help="rational like 1/2, or comma list 1/2,1/3,2/3")
     sp.add_argument("--cap", type=int, default=5)
-    common(sp)
+    sp.add_argument("--out", default=None, help="output file (default: stdout)")
+    sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.set_defaults(func=cmd_extremal)
 
     sp = sub.add_parser("vertices", help="exact vertex enumeration for a margin vector (JSON)")
@@ -316,7 +320,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--fast", action="store_true", help="convex measures via the two extreme points")
     sp.add_argument("--n", type=int, default=10**6, help="MC sample size (continuous, vector p)")
     sp.add_argument("--seed", type=int, default=0)
-    common(sp)
+    sp.add_argument("--out", default=None, help="output file (default: stdout)")
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("allocate", help="Euler capital decomposition for a discrete portfolio")

@@ -74,10 +74,11 @@ class GfgmSpec:
 
     @cached_property
     def _nu(self) -> dict[tuple[int, ...], Fraction]:
-        from .bernoulli import BernoulliPmf
+        from .bernoulli import BernoulliPmf, _check_nu_dim
 
         if isinstance(self.driver, DenseDriver):
             return nu_coefficients(self.driver.pmf, self.p)
+        _check_nu_dim(self.d)  # before the 2^d dense expansion below
         # Sparse and exchangeable drivers share the atom route.
         atoms = self.driver.atoms()
         values = [Fraction(0)] * (1 << self.d)

@@ -56,9 +56,13 @@ class LatticeDistribution:
             raise ValueError(f"pmf mass {total} deviates from 1 beyond 1e-10")
         self.probs = probs / total
         self._cdf = np.cumsum(self.probs)
-        self.support = np.arange(probs.size, dtype=float)  # in lattice steps
         self._exact_log_mgf = log_mgf
         self._exact_variance = variance
+
+    @property
+    def support(self) -> np.ndarray:
+        """Lattice points 0, 1, 2, ... in lattice steps, built on demand."""
+        return np.arange(self.probs.size, dtype=float)
 
     @classmethod
     def from_sum_pmf(cls, g) -> "LatticeDistribution":

@@ -199,10 +199,13 @@ def _pair_from_atoms(atoms, j1: int, j2: int) -> Fraction:
 
 def _mix_atoms(atoms, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum over atoms (mask, w) of w * prod_j (b[j] if bit j of mask else a[j])."""
-    out = np.zeros(a.shape[1:], dtype=np.result_type(a, b, float))
+    dtype = np.result_type(a, b, float)
+    a, b = np.asarray(a, dtype), np.asarray(b, dtype)
+    out = np.zeros(a.shape[1:], dtype)
     for mask, w in atoms:
-        term = np.full(a.shape[1:], float(w), dtype=out.dtype)
-        for j in range(a.shape[0]):
+        # a new array, or a numpy scalar when a and b are vectors (0-d arrays are slow)
+        term = float(w) * (b[0] if mask & 1 else a[0])
+        for j in range(1, a.shape[0]):
             term *= b[j] if (mask >> j) & 1 else a[j]
         out += term
     return out

@@ -186,9 +186,8 @@ class DiscreteMargin:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"pmf must sum to 1 within 1e-12, got {total}")
         self._law = LatticeDistribution(pmf)
+        self._law._cdf[-1] = 1.0  # the split cdfs below need F(n) = 1 exactly
         self.pmf = self._law.probs
-        self._cdf = np.cumsum(self.pmf)
-        self._cdf[-1] = 1.0  # the split cdfs below need F(n) = 1 exactly
         self.n = pmf.size - 1
 
     @classmethod
@@ -208,6 +207,11 @@ class DiscreteMargin:
     @classmethod
     def bernoulli(cls, q: float) -> "DiscreteMargin":
         return cls(np.array([1.0 - q, q]))
+
+    @property
+    def _cdf(self) -> np.ndarray:
+        """The cdf at 0..n, shared with the lattice law."""
+        return self._law._cdf
 
     @property
     def mean(self) -> float:

@@ -1,26 +1,38 @@
 """Exact vertex enumeration for Bernoulli Fréchet classes at small dimension.
 
-The class is the polytope {f >= 0, margin_j(f) = p_j, sum(f) = 1} over 2^d
-variables with d+1 independent equality constraints, so every vertex is the
-unique nonnegative solution supported on at most d+1 points.  Enumeration
-walks bases (independent column subsets of size d+1), solves each square
-system in exact rationals, keeps nonnegative solutions and deduplicates.
-Dependent column prefixes are pruned with an integer echelon carried along
-the recursion, which keeps this module free of floating point entirely.
+The class is the polytope {f >= 0, A f = (1, p)} over the 2^d masks, where A
+has a row of ones and one 0/1 row per mask bit.  Its d+1 equality rows are
+independent, so every vertex is the nonnegative solution of B x = (1, p) for
+some basis B: d+1 columns of A with det B != 0.
 
-The search space is C(2^d, d+1), so a hard cap (default d = 5, about 9e5
-candidate bases) guards against combinatorial blowup; higher-dimensional
-work goes through the analytic extremal points of the sum class instead.
+Enumeration runs over all C(2^d, d+1) bases in fixed-size chunks of numpy
+arrays.  Floats propose and integers certify: each determinant is exact
+(fraction-free elimination in int64), the adjugate is a float inverse scaled
+by it and rounded, and the integer identity B @ adj == det I must hold or the
+call raises ArithmeticError.  With L the lcm of the denominators of p,
+x = adj @ (L, L p) / (det L), so feasibility is a sign test on integers and
+every entry is an exact Fraction: no float tolerance decides anything.
+Products switch to Python integers when L (d+1) max|adj| could pass 2^62.
+
+The search space is C(2^d, d+1) (906,192 bases at d = 5), so a hard cap
+(default d = 5) guards against combinatorial blowup; higher-dimensional work
+goes through the analytic extremal points of the sum class instead.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
-from .bernoulli import BernoulliPmf, MarginVector, margin_vector
+import numpy as np
+
+from .bernoulli import BernoulliPmf, margin_vector
 
 DEFAULT_CAP = 5
+_CHUNK = 1 << 13  # bases per batch: a few MB of working arrays at d = 5
+_INT64_SAFE = 1 << 62
 
 
 class EnumerationCapError(ValueError):
@@ -31,38 +43,58 @@ class NotInPolytopeError(ValueError):
     """Decomposition target is not a convex combination of the given vertices."""
 
 
-def _columns(pv: MarginVector) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Integer constraint columns and right-hand side, denominators cleared per row."""
-    d = pv.d
-    dens = [q.denominator for q in pv.probs]
-    cols = []
-    for mask in range(1 << d):
-        col = tuple(dens[j] if (mask >> j) & 1 else 0 for j in range(d)) + (1,)
-        cols.append(col)
-    rhs = [q.numerator for q in pv.probs] + [1]
-    return cols, rhs
+def _basis_chunks(columns: int, size: int):
+    """All size-subsets of range(columns) in lexicographic order, as int arrays of _CHUNK rows."""
+    combos = itertools.combinations(range(columns), size)
+    while (chunk := np.fromiter(itertools.islice(combos, _CHUNK), np.dtype((np.intp, size)))).size:
+        yield chunk
 
 
-def _solve_square(col_ids: Sequence[int], cols, rhs, r: int) -> list[Fraction] | None:
-    """Exact solution of the r x r system restricted to the chosen columns."""
-    m = [[Fraction(cols[c][i]) for c in col_ids] + [Fraction(rhs[i])] for i in range(r)]
-    for k in range(r):
-        piv = next((i for i in range(k, r) if m[i][k] != 0), None)
-        if piv is None:
-            return None
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-        for i in range(k + 1, r):
-            if m[i][k]:
-                factor = m[i][k] / m[k][k]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
-    sol = [Fraction(0)] * r
-    for i in range(r - 1, -1, -1):
-        s = m[i][r]
-        for j in range(i + 1, r):
-            s -= m[i][j] * sol[j]
-        sol[i] = s / m[i][i]
-    return sol
+def _determinants(b: np.ndarray) -> np.ndarray:
+    """Exact determinants, up to sign, of a stack of integer matrices whose first row is all ones.
+
+    Subtracting the first column from the others turns that row into
+    (1, 0, ..., 0), so det B is the determinant of the block of differences.
+    Bareiss's fraction-free elimination with row pivoting computes it with
+    exact integer divisions; a column without a pivot leaves zeros behind it.
+    Row swaps are not counted: the adjugate is proposed as det * inv(B), so
+    either sign passes the certificate and gives the same solution.
+    """
+    m = b[:, 1:, 1:] - b[:, 1:, :1]
+    count, n, _ = m.shape
+    rows = np.arange(count)
+    prev = np.ones(count, dtype=np.int64)
+    for k in range(n):
+        piv = k + np.argmax(m[:, k:, k] != 0, axis=1)
+        top = m[rows, piv].copy()
+        m[rows, piv] = m[:, k]
+        m[:, k] = top
+        pk = m[:, k, k]
+        m[:, k + 1:, k + 1:] = (pk[:, None, None] * m[:, k + 1:, k + 1:]
+                                - m[:, k + 1:, k, None] * m[:, k, None, k + 1:]) // prev[:, None, None]
+        prev = np.where(pk == 0, 1, pk)
+    return m[:, n - 1, n - 1]
+
+
+def _feasible_solutions(b: np.ndarray, rhs: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices of the nonnegative basic solutions, with x = y / (q L) in lowest terms.
+
+    Returns (rows, y, q): q > 0 and y >= 0 are integers with gcd(q, y) = 1, in
+    int64 or, when products could overflow, as Python integers.
+    """
+    det = _determinants(b)
+    rows = np.flatnonzero(det)
+    b, det = b[rows], det[rows]
+    adj = np.rint(det[:, None, None] * np.linalg.inv(b)).astype(np.int64)
+    if not np.array_equal(b @ adj, det[:, None, None] * np.eye(b.shape[1], dtype=np.int64)):
+        raise ArithmeticError("float inverse failed the integer check B @ adj == det I")
+    wide = max(rhs) * len(rhs) * int(np.abs(adj).max(initial=0)) >= _INT64_SAFE
+    dtype = object if wide else np.int64
+    y = (adj.astype(dtype) @ np.array(rhs, dtype=dtype)) * np.sign(det)[:, None]
+    keep = (y >= 0).all(axis=1)
+    y, q = y[keep], np.abs(det[keep]).astype(dtype)
+    g = np.gcd(np.gcd.reduce(y, axis=1), q)
+    return rows[keep], y // g[:, None], q // g
 
 
 def enumerate_vertices(p, cap: int = DEFAULT_CAP) -> list[BernoulliPmf]:
@@ -83,34 +115,21 @@ def enumerate_vertices(p, cap: int = DEFAULT_CAP) -> list[BernoulliPmf]:
             f"combinatorial blowup: vertex enumeration at d={d} needs "
             f"C({1 << d},{d + 1}) basis candidates; cap is d={cap}"
         )
-    cols, rhs = _columns(pv)
-    n = 1 << d
-    r = d + 1
-    found: dict[tuple[Fraction, ...], None] = {}
-
-    def visit(start: int, chosen: list[int], pivots: list[tuple[int, tuple[int, ...]]]):
-        depth = len(chosen)
-        if depth == r:
-            sol = _solve_square(chosen, cols, rhs, r)
-            if sol is not None and all(x >= 0 for x in sol):
-                values = [Fraction(0)] * n
-                for mask, x in zip(chosen, sol):
-                    values[mask] = x
-                found.setdefault(tuple(values), None)
-            return
-        for c in range(start, n - (r - depth) + 1):
-            vec = list(cols[c])
-            for piv_row, piv_vec in pivots:
-                if vec[piv_row]:
-                    a, bval = piv_vec[piv_row], vec[piv_row]
-                    vec = [a * x - bval * y for x, y in zip(vec, piv_vec)]
-            piv_row = next((i for i, x in enumerate(vec) if x), None)
-            if piv_row is None:
-                continue  # column dependent on the chosen ones: no superset is a basis
-            visit(c + 1, chosen + [c], pivots + [(piv_row, tuple(vec))])
-
-    visit(0, [], [])
-    return [BernoulliPmf(d, values) for values in sorted(found)]
+    lcm = math.lcm(*(q.denominator for q in pv.probs))
+    rhs = [lcm] + [q.numerator * (lcm // q.denominator) for q in pv.probs]
+    masks = np.arange(1 << d)
+    a = np.vstack([np.ones_like(masks)] + [(masks >> j) & 1 for j in range(d)]).astype(np.int64)
+    found: set[tuple[int, tuple[int, ...]]] = set()  # (q, y at every mask): x = y / (q L)
+    for cols in _basis_chunks(1 << d, d + 1):
+        rows, y, q = _feasible_solutions(np.moveaxis(a[:, cols], 1, 0), rhs)
+        dense = np.zeros((rows.size, 1 << d), dtype=y.dtype)
+        np.put_along_axis(dense, cols[rows], y, axis=1)
+        found.update(zip(q.tolist(), map(tuple, dense.tolist())))
+    # On the common denominator Q L, integer order is the order of the vertices.
+    common = math.lcm(*(q for q, _ in found))
+    keys = sorted(tuple(x * (common // q) for x in y) for q, y in found)
+    fractions = {x: Fraction(x, common * lcm) for x in set().union(*keys)}
+    return [BernoulliPmf(d, tuple(fractions[x] for x in key)) for key in keys]
 
 
 def decompose(f: BernoulliPmf, vertices: Sequence[BernoulliPmf]) -> tuple[Fraction, ...]:

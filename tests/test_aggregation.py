@@ -140,6 +140,18 @@ class TestDiscreteGeneral:
             assert measure(general) == pytest.approx(measure(common), rel=1e-9)
 
 
+    @pytest.mark.parametrize("gamma,value", [(0.03, 890.58), (0.05, 1143.25)])
+    def test_entropic_d24_closed_form_matches_conditional_laws(self, gamma, value):
+        # the FFT pmf amplified tail round-off by e^{gamma x}: 897.31 and 1346.68
+        d, p = 24, F(1, 3)
+        margin = DiscreteMargin.from_power_cdf(0.3, 2, 100)
+        g = min_convex(d, p)
+        general = entropic(aggregate_discrete_general([margin] * d, ExchangeableDriver(g)), gamma)
+        common = entropic(aggregate_discrete_common(margin, d, g, p), gamma)
+        assert general == pytest.approx(common, rel=1e-9)
+        assert general == pytest.approx(value, abs=0.01)
+
+
 class TestExponential:
     def test_degenerate_at_zero_is_erlang(self):
         d, rate, p = 7, 0.5, F(1, 3)

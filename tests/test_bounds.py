@@ -120,6 +120,26 @@ class TestGeneralP:
         value = evaluate(dist, "es:0.95")
         assert report.minima["es:0.95"][0] <= value <= report.maxima["es:0.95"][0]
 
+    def test_one_split_table_per_call(self, monkeypatch):
+        import gfgm.aggregation as aggregation
+        from gfgm import DenseDriver, aggregate_discrete_general, enumerate_vertices, evaluate
+
+        margins = example_final_margins()
+        p = [F(1, 2), F(1, 3), F(2, 3)]
+        measures = ["var:0.95", "es:0.95", "entropic:0.001", "std"]
+        separate = [[evaluate(aggregate_discrete_general(margins, DenseDriver(v)), m)
+                     for m in measures] for v in enumerate_vertices(p)]
+        built, init = [], aggregation.SplitTable.__init__
+
+        def counting_init(table, *args):
+            built.append(args)
+            init(table, *args)
+
+        monkeypatch.setattr(aggregation.SplitTable, "__init__", counting_init)
+        report = bounds_general_p(margins, p, measures)
+        assert len(built) == 1
+        assert [report.values[m] for m in measures] == [list(col) for col in zip(*separate)]
+
     def test_continuous_margins_fall_back_to_mc(self):
         margins = [ExponentialMargin(1.0), ExponentialMargin(2.0)]
         report = bounds_general_p(margins, ["1/2", "1/2"], ["es:0.9"], mc_n=20000, seed=4)

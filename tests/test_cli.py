@@ -91,6 +91,20 @@ class TestBounds:
         assert err.startswith("gfgm: error: grid of") and "budget" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_zero_denominator_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "bounds", "--margin", "exp:0.1", "--d", "4", "--p", "1/0",
+                             "--alpha", "0.9")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("gfgm: error:") and len(err.strip().splitlines()) == 1
+
+    def test_format_is_not_a_bounds_option(self, capsys):
+        code, out, err = run(capsys, "bounds", "--margin", "exp:0.1", "--d", "4", "--p", "1/2",
+                             "--alpha", "0.9", "--fast", "--format", "csv")
+        assert code == 3
+        assert out == ""
+        assert "--format" in err.strip().splitlines()[-1]
+
     def test_vector_p_uses_vertex_path(self, capsys, tmp_path):
         margin_file = tmp_path / "margin.json"
         margin_file.write_text(json.dumps({"type": "discrete", "pmf": [0.5, 0.3, 0.2]}))
@@ -221,6 +235,15 @@ class TestSampleAndValidate:
         code, out, _ = run(capsys, "validate", "--spec", str(path), "--n", "20000", "--seed", "5")
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize("command", ["validate", "sample"])
+    def test_spec_file_must_be_an_object(self, capsys, tmp_path, command):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps([{"p": ["1/2"]}]))
+        code, out, err = run(capsys, command, "--spec", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("gfgm: error:") and len(err.strip().splitlines()) == 1
 
     def test_validate_small_n_rejected(self, capsys, tmp_path):
         path = self.spec_file(tmp_path, with_margins=True)

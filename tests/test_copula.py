@@ -94,6 +94,17 @@ class TestCopulaCdf:
                 point[j] = u
                 assert copula_cdf(spec, point) == pytest.approx(u, abs=1e-13)
 
+    def test_nu_refuses_d21_before_expanding_atoms(self, monkeypatch):
+        d = 21
+        spec = GfgmSpec.common(F(1, 2), AtomDriver(d, ((0, F(1, 2)), ((1 << d) - 1, F(1, 2)))))
+
+        def expand(self):
+            pytest.fail("the driver was expanded into 2^d entries before the dimension check")
+
+        monkeypatch.setattr(AtomDriver, "atoms", expand)
+        with pytest.raises(ValueError, match="d=21"):
+            copula_cdf(spec, np.full(d, 0.5), method="nu")
+
     def test_nu_and_mixture_paths_agree(self):
         rng = np.random.default_rng(5)
         specs = [

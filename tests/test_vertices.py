@@ -1,6 +1,13 @@
+import itertools
+import math
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from gfgm import (
     BernoulliPmf,
@@ -12,6 +19,66 @@ from gfgm import (
     validate_membership,
 )
 from gfgm.reference import EXAMPLE_FINAL_VERTICES
+
+
+def _solve_square(cols, rhs):
+    """Exact solution of the square system with the given columns, None if singular."""
+    r = len(rhs)
+    m = [[F(col[i]) for col in cols] + [F(rhs[i])] for i in range(r)]
+    for k in range(r):
+        piv = next((i for i in range(k, r) if m[i][k] != 0), None)
+        if piv is None:
+            return None
+        m[k], m[piv] = m[piv], m[k]
+        for i in range(k + 1, r):
+            if m[i][k]:
+                factor = m[i][k] / m[k][k]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
+    sol = [F(0)] * r
+    for i in range(r - 1, -1, -1):
+        s = m[i][r] - sum(m[i][j] * sol[j] for j in range(i + 1, r))
+        sol[i] = s / m[i][i]
+    return sol
+
+
+def oracle_vertices(p):
+    """Brute force: solve every (d+1)-column basis in Fractions, keep the nonnegative
+    solutions, deduplicate and sort."""
+    d = len(p)
+    cols = [tuple((mask >> j) & 1 for j in range(d)) + (1,) for mask in range(1 << d)]
+    rhs = list(p) + [1]
+    found = set()
+    for basis in itertools.combinations(range(1 << d), d + 1):
+        sol = _solve_square([cols[c] for c in basis], rhs)
+        if sol is not None and all(x >= 0 for x in sol):
+            values = [F(0)] * (1 << d)
+            for mask, x in zip(basis, sol):
+                values[mask] = x
+            found.add(tuple(values))
+    return sorted(found)
+
+
+def _random_p(rng, d, max_den=12):
+    out = []
+    for _ in range(d):
+        den = rng.randint(2, max_den)
+        out.append(F(rng.randint(1, den - 1), den))
+    return out
+
+
+def _constraints(d):
+    masks = np.arange(1 << d)
+    return np.vstack([(masks >> j) & 1 for j in range(d)] + [np.ones(1 << d)])
+
+
+_RNG = random.Random(20261018)
+SMALL_P = [_random_p(_RNG, d) for d in (2, 2, 2, 3, 3, 3, 3, 3)] + [
+    [F(1, 97), F(50, 97), F(3, 1000)]]
+D4_P = [
+    [F(1, 2)] * 4,
+    [F(1, 2), F(1, 3), F(2, 3), F(1, 2)],
+    [F(2, 5), F(7, 8), F(1, 2), F(4, 5)],
+]
 
 
 class TestEnumerate:
@@ -60,6 +127,49 @@ class TestEnumerate:
         assert len(vertices) > 4
         for v in vertices:
             assert validate_membership(v, p)
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("p", SMALL_P, ids=lambda p: ",".join(map(str, p)))
+    def test_small_d_identical(self, p):
+        assert [v.values for v in enumerate_vertices(p)] == oracle_vertices(p)
+
+    @pytest.mark.parametrize("p,count", zip(D4_P, (48, 146, None)), ids=["half", "mixed", "random"])
+    def test_d4_identical(self, p, count):
+        vertices = [v.values for v in enumerate_vertices(p)]
+        assert vertices == oracle_vertices(p)
+        assert count is None or len(vertices) == count
+
+    def test_large_prime_denominators_take_the_wide_integer_path(self):
+        p = [F(999983, 1000000007), F(1, 998244353), F(5, 999999937)]
+        # L (d+1) max|adj| passes 2^62 already at max|adj| = 1
+        assert math.lcm(*(q.denominator for q in p)) * (len(p) + 1) >= 1 << 62
+        vertices = enumerate_vertices(p)
+        assert [v.values for v in vertices] == oracle_vertices(p)
+        assert all(validate_membership(v, p) for v in vertices)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.lists(st.fractions(min_value=F(1, 50), max_value=F(49, 50), max_denominator=50),
+                    min_size=1, max_size=3))
+    def test_property_matches_oracle(self, p):
+        assert [v.values for v in enumerate_vertices(p)] == oracle_vertices(p)
+
+
+class TestCompleteness:
+    """Every linear objective is minimized at a returned vertex (HiGHS LP optimum)."""
+
+    @pytest.mark.parametrize("p", [D4_P[1], [F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 5)]],
+                             ids=["d4", "d5"])
+    def test_vertex_minimum_equals_lp_optimum(self, p):
+        d = len(p)
+        vertices = np.array([[float(x) for x in v.values] for v in enumerate_vertices(p)])
+        a_eq, b_eq = _constraints(d), np.array([float(q) for q in p] + [1.0])
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            c = rng.normal(size=1 << d)
+            lp = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+            assert lp.status == 0
+            assert (vertices @ c).min() == pytest.approx(lp.fun, abs=1e-9)
 
 
 class TestDecompose:
