@@ -9,13 +9,7 @@ and mixed-Erlang aggregation of the portfolio sum, risk measures with sharp
 bounds, and Euler capital allocation.
 """
 
-from .aggregation import (
-    aggregate,
-    aggregate_discrete_common,
-    aggregate_discrete_general,
-    aggregate_exponential,
-    aggregate_uniform,
-)
+from .aggregation import aggregate, aggregate_discrete_general
 from .allocation import (
     allocation_report,
     ces_alpha,
@@ -65,7 +59,15 @@ from .distributions import (
     LatticeDistribution,
     MixedErlangDistribution,
 )
-from .drivers import AtomDriver, DenseDriver, ExchangeableDriver, as_driver, driver_from_json
+from .drivers import (
+    AtomDriver,
+    BlockConstructionError,
+    DenseDriver,
+    ExchangeableDriver,
+    as_driver,
+    driver_from_json,
+    sigma_cx_smallest_blocks,
+)
 from .margins import (
     DiscreteMargin,
     ExponentialMargin,
@@ -76,8 +78,6 @@ from .margins import (
 )
 from .measures import entropic, es, evaluate, frechet_var_bounds, parse_measure, std, var
 from .sums import (
-    BlockConstructionError,
-    BlockPmf,
     ExtremalSumPoint,
     SumPmf,
     convex_order_leq,
@@ -85,7 +85,6 @@ from .sums import (
     extremal_points,
     max_convex,
     min_convex,
-    sigma_cx_smallest_blocks,
 )
 from .vertices import EnumerationCapError, NotInPolytopeError, decompose, enumerate_vertices
 

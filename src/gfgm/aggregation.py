@@ -22,7 +22,9 @@ so FFT round-off in the far tail, which e^{gamma x} would amplify, never
 reaches the entropic measure.  Heterogeneous discrete margins need the whole
 driver, not just its sum: ``SplitTable`` holds their per-coordinate split
 laws, and the law of S is the inverse FFT of ``Driver.mix`` over the split
-spectra, with the log-mgf and variance again in closed form.
+spectra, with the log-mgf and variance again in closed form.  The same table
+gives the covariance matrix and the size-biased spectra that the Euler
+allocation mixes.
 """
 
 from __future__ import annotations
@@ -58,10 +60,6 @@ def _clean_pmf(pmf: np.ndarray) -> np.ndarray:
         raise ArithmeticError(f"FFT round-off produced mass {low}, beyond tolerance")
     pmf = np.clip(pmf, 0.0, None)
     return pmf / pmf.sum()
-
-
-def _ifft_pmf(spectrum: np.ndarray, length: int, size: int) -> np.ndarray:
-    return _clean_pmf(np.fft.irfft(spectrum, n=length)[:size])
 
 
 def _mixing_weights(sum_pmf, d: int) -> list[tuple[int, float]]:
@@ -216,66 +214,68 @@ class ConditionalLaws:
         return LatticeDistribution(_clean_pmf(mixed), **exact)
 
 
-def aggregate_discrete_common(margin: DiscreteMargin, d: int, sum_pmf, p) -> LatticeDistribution:
-    """Sum of d identically distributed discrete margins under the given driver sum."""
-    return ConditionalLaws(margin, d, p).mix(sum_pmf)
-
-
-def split_pmfs(margins, p) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split pmfs (Z0_j, Z1_j) of every discrete margin at its p_j."""
-    return [(z.z0, z.z1) for z in (m.z_pmfs(q) for m, q in zip(margins, p))]
-
-
-def split_spectra(pairs, length: int, weight=None) -> tuple[np.ndarray, np.ndarray]:
-    """rfft of every pair of split pmfs, as two (d, length//2+1) arrays.
-
-    ``weight``, indexed by lattice point, multiplies each pmf first:
-    ``np.arange(length)`` gives the transforms of k P(Z=k).
-    """
-    rows = np.zeros((2, len(pairs), length))
-    for j, pair in enumerate(pairs):
-        for which, pmf in enumerate(pair):
-            rows[which, j, : pmf.size] = pmf if weight is None else weight[: pmf.size] * pmf
-    z0, z1 = np.fft.rfft(rows, axis=2)
-    return z0, z1
-
-
-def _portfolio_lattice(margins, d: int) -> tuple[int, int]:
-    """(size, FFT length) of the lattice of a sum of d heterogeneous discrete margins."""
-    if len(margins) != d:
-        raise ValueError(f"need {d} margins, got {len(margins)}")
-    size = sum(m.n for m in margins) + 1
-    return size, next_fast_len(size, real=True)
-
-
 class SplitTable:
     """Split laws Z0_j, Z1_j of heterogeneous discrete margins at their p_j.
 
-    Nothing here depends on the driver, so a call that aggregates under many
-    drivers with the same margins and p builds one table.  ``law(driver)``
-    gives the sum's lattice law: the pmf is the inverse FFT of ``Driver.mix``
-    over the split spectra, the log-mgf is the log of ``Driver.mix`` over the
-    split mgfs, and the variance is E Var(S|I) + Var E(S|I) from the split
-    means and variances, so FFT round-off in the far tail, which e^{gamma x}
-    would amplify, never reaches the entropic measure.
+    Nothing here depends on the driver, so a call that aggregates or allocates
+    under one or many drivers with the same margins and p builds one table.
+    Given the driver the coordinates are independent, so each answer is one
+    ``Driver.mix`` over per-coordinate columns:
+
+    * ``law(driver)``: the pmf of S is the inverse FFT of the mixed split
+      spectra, the log-mgf the log of the mixed split mgfs, and the variance
+      the sum of the covariance matrix, so FFT round-off in the far tail,
+      which e^{gamma x} would amplify, never reaches the entropic measure;
+    * ``covariance(driver)``: Cov(X_k, X_l) from the split means and
+      variances and the pair probabilities P(I_k = I_l = 1);
+    * ``spectra`` and ``size_biased``: the transforms of P(Z=k) and of
+      k P(Z=k), whose mixtures give the Euler allocation vectors.
     """
 
     def __init__(self, margins, p):
         self.d = len(p)
-        self.size, self.length = _portfolio_lattice(margins, self.d)
-        pairs = split_pmfs(margins, p)
-        z0, z1 = split_spectra(pairs, self.length)
+        if len(margins) != self.d:
+            raise ValueError(f"need {self.d} margins, got {len(margins)}")
+        self.size = sum(m.n for m in margins) + 1
+        self.length = next_fast_len(self.size, real=True)
+        self._pmfs = [(z.z0, z.z1) for z in (m.z_pmfs(q) for m, q in zip(margins, p))]
         # Mixing 0 where coordinate j is k or l, else 1, gives P(I_k = I_l = 1):
-        # these d^2 columns ride along with the spectra in one driver mixture.
+        # these d^2 columns ride along with the spectra in law's one mixture.
         hit = np.eye(self.d, dtype=bool)
         hit = (hit[:, :, None] | hit[:, None, :]).reshape(self.d, -1)
-        self._columns = (np.hstack([z0, np.where(hit, 0.0, 1.0)]),
-                         np.hstack([z1, np.ones(hit.shape)]))
-        self._split = [tuple(LatticeDistribution(z) for z in pair) for pair in pairs]
-        (self._m0, self._m1), (self._v0, self._v1) = np.array(
+        self._pair_columns = np.where(hit, 0.0, 1.0), np.ones(hit.shape)
+        self._columns = tuple(np.hstack(pair) for pair in zip(self._transforms(), self._pair_columns))
+        self._split = [tuple(LatticeDistribution(z) for z in pair) for pair in self._pmfs]
+        (m0, m1), (v0, v1) = np.array(
             [[[z.mean() for z in pair] for pair in self._split],
              [[z.variance() for z in pair] for pair in self._split]]).transpose(0, 2, 1)
+        gap = m1 - m0
+        self._gaps = gap[:, None] * gap  # gap_k gap_l
+        self._v0, self._dv = v0, v1 - v0
         self._scaled_mgfs: dict[float, tuple] = {}
+
+    def _transforms(self, size_biased: bool = False) -> np.ndarray:
+        """rfft of every split pmf (times k if ``size_biased``), shape (2, d, length//2+1)."""
+        rows = np.zeros((2, self.d, self.length))
+        for j, pair in enumerate(self._pmfs):
+            for which, pmf in enumerate(pair):
+                rows[which, j, : pmf.size] = np.arange(pmf.size) * pmf if size_biased else pmf
+        return np.fft.rfft(rows, axis=2)
+
+    @property
+    def spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """Transforms of Z0_j and Z1_j, as two (d, length//2+1) views."""
+        n = self.length // 2 + 1
+        return self._columns[0][:, :n], self._columns[1][:, :n]
+
+    @cached_property
+    def size_biased(self) -> tuple[np.ndarray, np.ndarray]:
+        """Transforms of k P(Z0_j = k) and k P(Z1_j = k), built on first use."""
+        return tuple(self._transforms(size_biased=True))
+
+    def _check(self, driver) -> None:
+        if driver.d != self.d:
+            raise ValueError(f"driver of dimension {driver.d} for a table of {self.d} margins")
 
     def _log_mgf(self, driver, t: float) -> float:
         """log E[e^{tS}] = log mix(M0_j(t), M1_j(t)), each coordinate scaled by its larger mgf."""
@@ -289,21 +289,26 @@ class SplitTable:
             raise ArithmeticError(f"mixture of split mgfs at t={t} underflows")
         return log_scale + math.log(mixed)
 
-    def _variance(self, joint: np.ndarray) -> float:
-        """sum_j E Var(Z_{I_j}) + Var(sum_j I_j (E Z1_j - E Z0_j)), from the pair
-        probabilities joint[k, l] = P(I_k = I_l = 1)."""
-        p, gap = np.diag(joint), self._m1 - self._m0
-        within = (1.0 - p) @ self._v0 + p @ self._v1
-        return float(within + gap @ joint @ gap - (p @ gap) ** 2)
+    def _covariance(self, joint: np.ndarray) -> np.ndarray:
+        """Cov(X_k, X_l) = gap_k gap_l Cov(I_k, I_l), plus E Var(Z_{I_k}) on the diagonal,
+        from the pair probabilities joint[k, l] = P(I_k = I_l = 1)."""
+        p = joint.diagonal()
+        cov = (joint - p[:, None] * p) * self._gaps
+        cov.flat[:: self.d + 1] += self._v0 + p * self._dv
+        return cov
+
+    def covariance(self, driver) -> np.ndarray:
+        """d x d matrix of Cov(X_k, X_l) under the driver; its sum is Var(S)."""
+        self._check(driver)
+        return self._covariance(driver.mix(*self._pair_columns).reshape(self.d, self.d))
 
     def law(self, driver) -> LatticeDistribution:
-        if driver.d != self.d:
-            raise ValueError(f"driver of dimension {driver.d} for a table of {self.d} margins")
+        self._check(driver)
         mixed = driver.mix(*self._columns)
         spectrum, joint = mixed[: -self.d**2], mixed[-self.d**2:].real.reshape(self.d, self.d)
-        return LatticeDistribution(_ifft_pmf(spectrum, self.length, self.size),
+        return LatticeDistribution(_clean_pmf(np.fft.irfft(spectrum, n=self.length)[: self.size]),
                                    log_mgf=partial(self._log_mgf, driver),
-                                   variance=self._variance(joint))
+                                   variance=float(self._covariance(joint).sum()))
 
 
 def aggregate_discrete_general(margins: list[DiscreteMargin], driver,
@@ -316,16 +321,6 @@ def aggregate_discrete_general(margins: list[DiscreteMargin], driver,
     """
     driver = as_driver(driver)
     return (table or SplitTable(margins, driver.margins())).law(driver)
-
-
-def aggregate_exponential(rate: float, d: int, sum_pmf, p) -> MixedErlangDistribution:
-    """Erlang(d, beta) plus extra stages, beta = rate/(1-p), weights cut at mass 1 - 1e-12."""
-    return ConditionalLaws(ExponentialMargin(rate), d, p).mix(sum_pmf)
-
-
-def aggregate_uniform(p, d: int, sum_pmf, grid_h: float | None = None) -> GridDistribution:
-    """Sum of d uniform margins (the copula's own sum) on a step grid, default d/2^15."""
-    return ConditionalLaws(UniformMargin(), d, p, grid_h).mix(sum_pmf)
 
 
 def aggregate(margin, d: int, sum_pmf, p, grid_h: float | None = None, laws=None):

@@ -5,8 +5,10 @@ conditioning on the driver makes the coordinates independent, so the
 vector's spectrum is the driver's mixture (``Driver.mix``) of the same
 products as the law of S, with coordinate j's split spectra replaced by
 their size-biased versions (transforms of k P(Z=k)).  That is one mixture
-for the law of S plus one for each requested risk, over spectra computed
-once: d + 1 for the full allocation, two for a single risk.
+for the law of S plus one for each requested risk, over the spectra of one
+``SplitTable`` per call: d + 1 for the full allocation, two for a single
+risk.  The Euler Std contributions are row sums of the same table's
+covariance matrix.
 
 The three full-allocation identities,
 
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import _ifft_pmf, _portfolio_lattice, split_pmfs, split_spectra
+from .aggregation import SplitTable
 from .distributions import LatticeDistribution
-from .drivers import as_driver
+from .drivers import Driver, as_driver
 from .margins import DiscreteMargin
 from .measures import es as es_measure
 
@@ -34,29 +36,33 @@ from .measures import es as es_measure
 _ROUNDOFF_FLOOR = 1e-12
 
 
-def _allocation(driver, margins, risks) -> tuple[np.ndarray, LatticeDistribution]:
-    """Vectors E[X_j 1{S=y}] for the 0-based ``risks``, plus the law of S.
-
-    One driver mixture gives the law of S and one more each risk.
-    """
+def _portfolio(driver, margins) -> tuple[Driver, SplitTable]:
+    """The driver and the portfolio's split table at the driver's margins."""
     if not all(isinstance(m, DiscreteMargin) for m in margins):
         raise ValueError(
             "allocation is exact for discrete margins only; discretize or sample "
             "continuous margins explicitly"
         )
     driver = as_driver(driver)
-    size, length = _portfolio_lattice(margins, driver.d)
-    pairs = split_pmfs(margins, driver.margins())
-    z0, z1 = split_spectra(pairs, length)
-    agg = LatticeDistribution(_ifft_pmf(driver.mix(z0, z1), length, size))
-    s0, s1 = split_spectra(pairs, length, weight=np.arange(length))
+    return driver, SplitTable(margins, driver.margins())
+
+
+def _allocation(driver, table: SplitTable, risks) -> tuple[np.ndarray, LatticeDistribution]:
+    """Vectors E[X_j 1{S=y}] for the 0-based ``risks``, plus the law of S.
+
+    One driver mixture gives the law of S and one more each risk: the
+    table's spectra with row j swapped for its size-biased spectra.
+    """
+    agg = table.law(driver)
+    z0, z1 = table.spectra
+    s0, s1 = table.size_biased
     a, b = z0.copy(), z1.copy()
     alloc_hat = []
     for j in risks:
         a[j], b[j] = s0[j], s1[j]
         alloc_hat.append(driver.mix(a, b))
         a[j], b[j] = z0[j], z1[j]
-    alloc = np.fft.irfft(np.array(alloc_hat), n=length)[:, :size]
+    alloc = np.fft.irfft(np.array(alloc_hat), n=table.length)[:, : table.size]
     return np.clip(alloc, 0.0, None), agg
 
 
@@ -66,18 +72,18 @@ def expected_allocation_all(driver, margins) -> tuple[np.ndarray, LatticeDistrib
     Returns a (d, m+1) array over the lattice of S and the matching
     LatticeDistribution.
     """
-    return _allocation(driver, margins, range(len(margins)))
+    return _allocation(*_portfolio(driver, margins), range(len(margins)))
 
 
 def expected_allocation(j: int, driver, margins) -> np.ndarray:
     """E[X_j 1{S=y}] over the lattice of S, for 1-based risk j."""
-    alloc, _ = _allocation(driver, margins, [j - 1])
+    alloc, _ = _allocation(*_portfolio(driver, margins), [j - 1])
     return alloc[0]
 
 
 def expected_contribution(j: int, driver, margins, y: int) -> float:
     """E[X_j | S=y]; contributions across j sum to y."""
-    alloc, agg = _allocation(driver, margins, [j - 1])
+    alloc, agg = _allocation(*_portfolio(driver, margins), [j - 1])
     prob = agg.probs[y] if 0 <= y < agg.probs.size else 0.0
     if prob < _ROUNDOFF_FLOOR:
         raise ValueError(f"P(S={y}) = 0 up to FFT round-off: conditional contribution undefined")
@@ -99,31 +105,15 @@ def _ces_from_alloc(alloc: np.ndarray, agg: LatticeDistribution, means, alpha: f
 
 def ces_alpha(j: int, driver, margins, alpha: float) -> float:
     """Euler expected-shortfall contribution of risk j (1-based)."""
-    alloc, agg = _allocation(driver, margins, [j - 1])
+    alloc, agg = _allocation(*_portfolio(driver, margins), [j - 1])
     ces, _, _ = _ces_from_alloc(alloc, agg, [margins[j - 1].mean], alpha)
     return ces[0]
 
 
-def _cov_matrix(driver, margins):
-    driver = as_driver(driver)
-    d = driver.d
-    p = driver.margins()
-    gaps = []
-    for jj in range(d):
-        e0, e1 = margins[jj].z_means(p[jj])
-        gaps.append(e1 - e0)
-    cov = np.zeros((d, d))
-    for a in range(d):
-        cov[a, a] = margins[a].var
-        for b in range(a + 1, d):
-            cov_i = float(driver.pair_joint11(a + 1, b + 1) - p[a] * p[b])
-            cov[a, b] = cov[b, a] = cov_i * gaps[a] * gaps[b]
-    return cov
-
-
 def cstd(j: int, driver, margins) -> float:
     """Euler standard-deviation contribution Cov(X_j, S)/Std(S) of risk j."""
-    cov = _cov_matrix(driver, margins)
+    driver, table = _portfolio(driver, margins)
+    cov = table.covariance(driver)
     var_s = float(cov.sum())
     if var_s <= 0:
         raise ValueError("degenerate portfolio: Std(S) = 0")
@@ -157,13 +147,13 @@ class AllocationReport:
 
 def allocation_report(driver, margins, alpha: float) -> AllocationReport:
     """Full decomposition at one level: VaR conditioning, Euler ES, Euler Std."""
-    driver = as_driver(driver)
-    alloc, agg = expected_allocation_all(driver, margins)
+    driver, table = _portfolio(driver, margins)
+    alloc, agg = _allocation(driver, table, range(driver.d))
     means = [m.mean for m in margins]
     ces, beta_s, v = _ces_from_alloc(alloc, agg, means, alpha)
     atom = float(agg.probs[v])
     var_contrib = [float(alloc[j][v] / atom) if atom > 0 else float("nan") for j in range(driver.d)]
-    cov = _cov_matrix(driver, margins)
+    cov = table.covariance(driver)
     std_s = float(np.sqrt(cov.sum()))
     cstd_values = [float(cov[j].sum()) / std_s for j in range(driver.d)]
     return AllocationReport(

@@ -38,9 +38,10 @@ def as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational (Fraction, int or 'num/den' string), got {x!r}")
 
 
-def format_fraction(x: Fraction) -> str:
+def format_fraction(x: RationalLike) -> str:
     """Canonical 'num/den' form (gcd-reduced, positive denominator)."""
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 

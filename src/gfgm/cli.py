@@ -125,7 +125,7 @@ def cmd_vertices(args) -> int:
     p = _parse_p(args.p)
     if not isinstance(p, list):
         raise ValueError("--p must be a comma-separated margin vector for vertex enumeration")
-    vertices = enumerate_vertices(p, cap=args.cap)
+    vertices = enumerate_vertices(p)
     payload = [v.to_json() for v in vertices]
     _write_output(payload, args.out, "json")
     print(f"{len(vertices)} vertices", file=sys.stderr)
@@ -298,14 +298,12 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("extremal", help="extremal sum pmfs (scalar p) or vertices (vector p)")
     sp.add_argument("--d", type=int, default=None)
     sp.add_argument("--p", required=True, help="rational like 1/2, or comma list 1/2,1/3,2/3")
-    sp.add_argument("--cap", type=int, default=5)
     sp.add_argument("--out", default=None, help="output file (default: stdout)")
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.set_defaults(func=cmd_extremal)
 
     sp = sub.add_parser("vertices", help="exact vertex enumeration for a margin vector (JSON)")
     sp.add_argument("--p", required=True)
-    sp.add_argument("--cap", type=int, default=5)
     sp.add_argument("--out", default=None, help="output file (default: stdout)")
     sp.set_defaults(func=cmd_vertices)
 

@@ -4,7 +4,8 @@ A copula in this family is determined by one multivariate Bernoulli
 distribution.  Three interchangeable representations are supported:
 
 * dense: full 2^d vector (small d),
-* atoms: sparse list of (mask, weight) pairs (structured pmfs at any d),
+* atoms: sparse list of (mask, weight) pairs (structured pmfs at any d, such
+  as the consecutive-run blocks of ``sigma_cx_smallest_blocks``),
 * exchangeable: a sum distribution standing for the unique exchangeable pmf
   with that component sum (any d).
 
@@ -28,9 +29,13 @@ from fractions import Fraction
 import numpy as np
 
 from .bernoulli import BernoulliPmf, as_fraction, format_fraction
-from .sums import BlockPmf, SumPmf, atom_margins, atom_sum_pmf
+from .sums import SumPmf, _check_dp, atom_margins, atom_sum_pmf
 
 _ATOM_EXPANSION_CAP = 20
+
+
+class BlockConstructionError(ValueError):
+    """Raised when no consecutive-run block construction exists for (d, p)."""
 
 
 @dataclass(frozen=True)
@@ -75,10 +80,6 @@ class AtomDriver:
         if any(w < 0 for _, w in atoms) or sum((w for _, w in atoms), Fraction(0)) != 1:
             raise ValueError("atom weights must be a probability vector")
         object.__setattr__(self, "atom_list", atoms)
-
-    @classmethod
-    def from_blocks(cls, blocks: BlockPmf) -> "AtomDriver":
-        return cls(blocks.d, tuple(blocks.atoms()))
 
     def margins(self) -> tuple[Fraction, ...]:
         return atom_margins(self.d, self.atom_list)
@@ -189,6 +190,34 @@ class ExchangeableDriver:
 Driver = DenseDriver | AtomDriver | ExchangeableDriver
 
 
+def sigma_cx_smallest_blocks(d: int, p) -> AtomDriver:
+    """Non-exchangeable convex-order-smallest pmf built from consecutive runs.
+
+    The construction partitions {1,...,d} into q = 1/p runs whose lengths sit
+    in {floor(dp), ceil(dp)}, each run carrying weight 1/q; its component sum
+    is exactly the convex-order minimum.  Run boundaries are placed at
+    round(i*d/q), which spreads the longer runs evenly (d=100, p=1/3 gives
+    lengths 33, 34, 33).
+
+    Raises BlockConstructionError when 1/p is not an integer; callers fall
+    back to the exchangeable lift of the convex minimum.
+    """
+    p = _check_dp(d, p)
+    inv = 1 / p
+    if inv.denominator != 1:
+        raise BlockConstructionError(
+            f"no block construction: 1/p = {inv} is not an integer (margins of a "
+            f"uniform mixture of runs partitioning the coordinates are all 1/q)"
+        )
+    q = int(inv)
+    if q > d:
+        raise BlockConstructionError(f"no block construction: need at least q={q} coordinates")
+    # Boundary i sits at round(i*d/q): floor((2*i*d + q) / (2*q)) in exact arithmetic.
+    bounds = [(2 * i * d + q) // (2 * q) for i in range(q + 1)]
+    runs = (((1 << (hi - lo)) - 1) << lo for lo, hi in zip(bounds, bounds[1:]))
+    return AtomDriver(d, tuple((mask, Fraction(1, q)) for mask in runs))
+
+
 def _pair_from_atoms(atoms, j1: int, j2: int) -> Fraction:
     b1, b2 = j1 - 1, j2 - 1
     return sum(
@@ -226,8 +255,6 @@ def as_driver(obj) -> Driver:
         return obj
     if isinstance(obj, BernoulliPmf):
         return DenseDriver(obj)
-    if isinstance(obj, BlockPmf):
-        return AtomDriver.from_blocks(obj)
     if isinstance(obj, SumPmf):
         return ExchangeableDriver(obj)
     raise TypeError(f"cannot interpret {type(obj).__name__} as a driving distribution")

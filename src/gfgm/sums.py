@@ -20,10 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-class BlockConstructionError(ValueError):
-    """Raised when no consecutive-run block construction exists for (d, p)."""
-
-
 @dataclass(frozen=True)
 class SumPmf:
     """pmf on {0,...,d} with exact rational entries."""
@@ -224,63 +220,3 @@ def convex_order_leq(g: SumPmf, h: SumPmf) -> bool:
     if g.mean != h.mean:
         return False
     return all(g.stop_loss(t) <= h.stop_loss(t) for t in range(g.d + 1))
-
-
-@dataclass(frozen=True)
-class BlockPmf:
-    """Sparse Bernoulli pmf supported on runs of consecutive ones.
-
-    Atom masks use the same bit convention as the dense representation
-    (bit j-1 is coordinate j) but are plain integers, so any dimension works.
-    """
-
-    d: int
-    masks: tuple[int, ...]
-    weights: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.masks) != len(self.weights):
-            raise ValueError("masks and weights must align")
-        if any(w < 0 for w in self.weights) or sum(self.weights, Fraction(0)) != 1:
-            raise ValueError("weights must be a probability vector")
-
-    def atoms(self) -> list[tuple[int, Fraction]]:
-        return list(zip(self.masks, self.weights))
-
-    def margin(self, j: int) -> Fraction:
-        return atom_margins(self.d, self.atoms())[j - 1]
-
-    def sum_pmf(self) -> SumPmf:
-        return atom_sum_pmf(self.d, self.atoms())
-
-
-def sigma_cx_smallest_blocks(d: int, p) -> BlockPmf:
-    """Non-exchangeable convex-order-smallest pmf built from consecutive runs.
-
-    The construction partitions {1,...,d} into q = 1/p runs whose lengths sit
-    in {floor(dp), ceil(dp)}, each run carrying weight 1/q; its component sum
-    is exactly the convex-order minimum.  Run boundaries are placed at
-    round(i*d/q), which spreads the longer runs evenly (d=100, p=1/3 gives
-    lengths 33, 34, 33).
-
-    Raises BlockConstructionError when 1/p is not an integer; callers fall
-    back to the exchangeable lift of the convex minimum.
-    """
-    p = _check_dp(d, p)
-    inv = 1 / p
-    if inv.denominator != 1:
-        raise BlockConstructionError(
-            f"no block construction: 1/p = {inv} is not an integer (margins of a "
-            f"uniform mixture of runs partitioning the coordinates are all 1/q)"
-        )
-    q = int(inv)
-    if q > d:
-        raise BlockConstructionError(f"no block construction: need at least q={q} coordinates")
-    # Boundary i sits at round(i*d/q): floor((2*i*d + q) / (2*q)) in exact arithmetic.
-    bounds = [(2 * i * d + q) // (2 * q) for i in range(q + 1)]
-    masks = []
-    for i in range(q):
-        lo, hi = bounds[i], bounds[i + 1]
-        masks.append(((1 << (hi - lo)) - 1) << lo)
-    weights = (Fraction(1, q),) * q
-    return BlockPmf(d, tuple(masks), weights)

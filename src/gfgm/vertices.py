@@ -14,9 +14,10 @@ x = adj @ (L, L p) / (det L), so feasibility is a sign test on integers and
 every entry is an exact Fraction: no float tolerance decides anything.
 Products switch to Python integers when L (d+1) max|adj| could pass 2^62.
 
-The search space is C(2^d, d+1) (906,192 bases at d = 5), so a hard cap
-(default d = 5) guards against combinatorial blowup; higher-dimensional work
-goes through the analytic extremal points of the sum class instead.
+The search space is C(2^d, d+1): 906,192 bases at d = 5 but 621,216,192,
+686 times as many, at d = 6.  So d = 5 (``MAX_DIM``) is a hard cap, and
+higher-dimensional work goes through the analytic extremal points of the
+sum class instead.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .bernoulli import BernoulliPmf, margin_vector
 
-DEFAULT_CAP = 5
+MAX_DIM = 5
 _CHUNK = 1 << 13  # bases per batch: a few MB of working arrays at d = 5
 _INT64_SAFE = 1 << 62
 
@@ -97,23 +98,20 @@ def _feasible_solutions(b: np.ndarray, rhs: list[int]) -> tuple[np.ndarray, np.n
     return rows[keep], y // g[:, None], q // g
 
 
-def enumerate_vertices(p, cap: int = DEFAULT_CAP) -> list[BernoulliPmf]:
+def enumerate_vertices(p) -> list[BernoulliPmf]:
     """Complete, duplicate-free vertex set, sorted lexicographically.
 
-    Args:
-        p: margin vector (sequence of exact rationals in (0,1)).
-        cap: maximum dimension accepted; above it the search space C(2^d, d+1)
-            explodes and the call is refused.
-
-    Every returned pmf satisfies the margin constraints exactly and has
-    support of size at most d+1.
+    ``p`` is the margin vector (a sequence of exact rationals in (0,1)) of
+    dimension at most ``MAX_DIM``; above it the call is refused.  Every
+    returned pmf satisfies the margin constraints exactly and has support of
+    size at most d+1.
     """
     pv = margin_vector(p)
     d = pv.d
-    if d > cap:
+    if d > MAX_DIM:
         raise EnumerationCapError(
             f"combinatorial blowup: vertex enumeration at d={d} needs "
-            f"C({1 << d},{d + 1}) basis candidates; cap is d={cap}"
+            f"C({1 << d},{d + 1}) basis candidates; cap is d={MAX_DIM}"
         )
     lcm = math.lcm(*(q.denominator for q in pv.probs))
     rhs = [lcm] + [q.numerator * (lcm // q.denominator) for q in pv.probs]

@@ -29,11 +29,11 @@ import pytest
 from scipy import stats
 
 from gfgm import (
-    AtomDriver,
     ExchangeableDriver,
     ExponentialMargin,
     GfgmSpec,
     UniformMargin,
+    aggregate,
     aggregate_discrete_general,
     bounds_common_p,
     bounds_general_p,
@@ -209,8 +209,7 @@ def test_criterion_10_equicorrelation():
     rho_e = pearson_x(spec_e, margins, 1, 2)
     if abs(rho_e - (-0.0022)) > 1e-4:
         failures.append(f"equicorrelation {rho_e:.6f} not within 1e-4 of -0.0022")
-    blocks = sigma_cx_smallest_blocks(100, F(1, 3))
-    spec_b = GfgmSpec.common(F(1, 3), AtomDriver.from_blocks(blocks))
+    spec_b = GfgmSpec.common(F(1, 3), sigma_cx_smallest_blocks(100, F(1, 3)))
     total = 0.0
     count = 0
     for j1 in range(1, 100):
@@ -283,7 +282,7 @@ class TestOracleCompanions:
             epsabs=1e-10,
         )[0]
         es_oracle = hi + stop / 0.05
-        dist = __import__("gfgm").aggregate_exponential(0.1, 100, min_convex(100, F(1, 2)), F(1, 2))
+        dist = aggregate(ExponentialMargin(0.1), 100, min_convex(100, F(1, 2)), F(1, 2))
         assert hi == pytest.approx(1147.0118, abs=1e-3)  # the printed quantile minimum
         assert es_oracle == pytest.approx(1187.9935, abs=1e-3)
         assert evaluate(dist, "es:0.95") == pytest.approx(es_oracle, abs=1e-5)
@@ -291,7 +290,7 @@ class TestOracleCompanions:
     def test_exponential_p_half_entropic_closed_form(self):
         gamma = 0.001
         closed = (100 * math.log(0.2 / (0.2 - gamma)) + 50 * math.log(0.1 / (0.1 - gamma))) / gamma
-        dist = __import__("gfgm").aggregate_exponential(0.1, 100, min_convex(100, F(1, 2)), F(1, 2))
+        dist = aggregate(ExponentialMargin(0.1), 100, min_convex(100, F(1, 2)), F(1, 2))
         assert closed == pytest.approx(1003.7710, abs=1e-4)
         assert evaluate(dist, "entropic:0.001") == pytest.approx(closed, abs=1e-6)
 

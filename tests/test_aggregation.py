@@ -8,11 +8,11 @@ from scipy import special
 from gfgm import (
     DiscreteMargin,
     ExchangeableDriver,
+    ExponentialMargin,
     GfgmSpec,
-    aggregate_discrete_common,
+    UniformMargin,
+    aggregate,
     aggregate_discrete_general,
-    aggregate_exponential,
-    aggregate_uniform,
     entropic,
     es,
     independence_pmf,
@@ -68,14 +68,14 @@ class TestDiscreteCommon:
     def test_point_mass_margin_degenerates_at_d(self):
         margin = DiscreteMargin.point_mass(1)
         for pt in extremal_points(4, F(1, 2)):
-            dist = aggregate_discrete_common(margin, 4, pt, F(1, 2))
+            dist = aggregate(margin, 4, pt, F(1, 2))
             assert dist.probs[4] == pytest.approx(1.0)
 
     def test_independence_matches_convolution_oracle(self):
         # under the product driver, coordinates are iid copies of the margin
         d, p = 5, F(1, 3)
         margin = DiscreteMargin.from_power_cdf(0.4, 2, 10)
-        dist = aggregate_discrete_common(margin, d, binomial_sum_pmf(d, p), p)
+        dist = aggregate(margin, d, binomial_sum_pmf(d, p), p)
         oracle = np.array([1.0])
         for _ in range(d):
             oracle = np.convolve(oracle, margin.pmf)
@@ -84,14 +84,14 @@ class TestDiscreteCommon:
     def test_d100_min_convex_quantile(self):
         # the convex-order minimum at p=2/3 does not attain the class minimum
         margin = d100_discrete_margin()
-        dist = aggregate_discrete_common(margin, 100, min_convex(100, F(2, 3)), F(2, 3))
+        dist = aggregate(margin, 100, min_convex(100, F(2, 3)), F(2, 3))
         assert var(dist, 0.95) == 1961.0
 
     def test_general_matches_common_for_exchangeable_driver(self):
         g = SumPmf(4, tuple(F(x) for x in ["1/8", "1/4", "1/4", "1/4", "1/8"]))
         margin = DiscreteMargin.from_power_cdf(0.3, 2, 6)
         p = g.mean / 4
-        da = aggregate_discrete_common(margin, 4, g, p)
+        da = aggregate(margin, 4, g, p)
         db = aggregate_discrete_general([margin] * 4, ExchangeableDriver(g))
         assert np.max(np.abs(da.probs - db.probs)) < 1e-10
 
@@ -133,7 +133,7 @@ class TestDiscreteGeneral:
         d, p = 24, F(1, 3)
         margin = DiscreteMargin.from_power_cdf(0.3, 2, 20)
         g = extreme(d, p)
-        common = aggregate_discrete_common(margin, d, g, p)
+        common = aggregate(margin, d, g, p)
         general = aggregate_discrete_general([margin] * d, ExchangeableDriver(g))
         for measure in (lambda x: var(x, 0.95), lambda x: es(x, 0.95),
                         lambda x: entropic(x, 0.01), std):
@@ -147,7 +147,7 @@ class TestDiscreteGeneral:
         margin = DiscreteMargin.from_power_cdf(0.3, 2, 100)
         g = min_convex(d, p)
         general = entropic(aggregate_discrete_general([margin] * d, ExchangeableDriver(g)), gamma)
-        common = entropic(aggregate_discrete_common(margin, d, g, p), gamma)
+        common = entropic(aggregate(margin, d, g, p), gamma)
         assert general == pytest.approx(common, rel=1e-9)
         assert general == pytest.approx(value, abs=0.01)
 
@@ -155,7 +155,7 @@ class TestDiscreteGeneral:
 class TestExponential:
     def test_degenerate_at_zero_is_erlang(self):
         d, rate, p = 7, 0.5, F(1, 3)
-        dist = aggregate_exponential(rate, d, SumPmf.degenerate(d, 0), p)
+        dist = aggregate(ExponentialMargin(rate), d, SumPmf.degenerate(d, 0), p)
         assert dist.mean() == pytest.approx(d * (1 - 1 / 3) / rate, rel=1e-12)
         x = np.linspace(0.5, 30, 7)
         erlang = special.gammainc(d, (rate / (1 - 1 / 3)) * x)
@@ -164,34 +164,34 @@ class TestExponential:
     def test_d1_reproduces_exponential(self):
         rate, p = 0.7, F(2, 5)
         g = SumPmf(1, (1 - p, p))
-        dist = aggregate_exponential(rate, 1, g, p)
+        dist = aggregate(ExponentialMargin(rate), 1, g, p)
         for q in np.linspace(0.05, 0.99, 20):
             assert dist.cdf(-math.log1p(-q) / rate) == pytest.approx(q, abs=1e-10)
 
     def test_min_convex_p_half_oracle_values(self):
         # independent quadrature oracle for Gamma(100,0.2) + Gamma(50,0.1):
         # VaR_0.95 = 1147.0118 (also the class minimum), ES_0.95 = 1187.9935
-        dist = aggregate_exponential(0.1, 100, min_convex(100, F(1, 2)), F(1, 2))
+        dist = aggregate(ExponentialMargin(0.1), 100, min_convex(100, F(1, 2)), F(1, 2))
         assert var(dist, 0.95) == pytest.approx(1147.0118, abs=1e-3)
         assert es(dist, 0.95) == pytest.approx(1187.9934646847, abs=1e-5)
 
     def test_min_convex_p_third_printed_values(self):
-        dist = aggregate_exponential(0.1, 100, min_convex(100, F(1, 3)), F(1, 3))
+        dist = aggregate(ExponentialMargin(0.1), 100, min_convex(100, F(1, 3)), F(1, 3))
         assert es(dist, 0.95) == pytest.approx(1191.2742, abs=1e-2)
 
     def test_truncation_tail_recorded(self):
-        dist = aggregate_exponential(0.1, 100, min_convex(100, F(1, 3)), F(1, 3))
+        dist = aggregate(ExponentialMargin(0.1), 100, min_convex(100, F(1, 3)), F(1, 3))
         assert 0 <= dist.tail_mass < 1e-12
 
     def test_log_mgf_closed_form_degenerate_sum(self):
-        dist = aggregate_exponential(0.1, 100, SumPmf.degenerate(100, 50), F(1, 2))
+        dist = aggregate(ExponentialMargin(0.1), 100, SumPmf.degenerate(100, 50), F(1, 2))
         gamma = 0.001
         closed = 100 * math.log(0.2 / (0.2 - gamma)) + 50 * math.log(0.1 / (0.1 - gamma))
         # the 1e-12 weight truncation shows up at the same order here
         assert dist.log_mgf(gamma) == pytest.approx(closed, rel=1e-9)
 
     def test_mgf_domain_error(self):
-        dist = aggregate_exponential(0.1, 5, SumPmf.degenerate(5, 0), F(1, 2))
+        dist = aggregate(ExponentialMargin(0.1), 5, SumPmf.degenerate(5, 0), F(1, 2))
         with pytest.raises(ValueError):
             dist.log_mgf(0.25)
 
@@ -200,18 +200,18 @@ class TestUniform:
     def test_mean_is_half_d(self):
         for d, p in ((5, F(1, 2)), (8, F(1, 3))):
             for pt in (min_convex(d, p), SumPmf.two_point(d, 0, d, 1 - p)):
-                dist = aggregate_uniform(p, d, pt, grid_h=d / 2.0**13)
+                dist = aggregate(UniformMargin(), d, pt, p, grid_h=d / 2.0**13)
                 assert dist.mean() == pytest.approx(d / 2, abs=1e-6)
 
     def test_degenerate_driver_mean_matches_closed_form(self):
         # all indicators on: S is a d-fold sum of V0*V1 draws
         d, p = 4, F(1, 2)
-        dist = aggregate_uniform(p, d, SumPmf.degenerate(d, d), grid_h=d / 2.0**13)
+        dist = aggregate(UniformMargin(), d, SumPmf.degenerate(d, d), p, grid_h=d / 2.0**13)
         assert dist.mean() == pytest.approx(d / (2 * (2 - 0.5)), abs=1e-6)
 
     def test_degenerate_driver_against_sampler(self):
         d, p = 4, F(1, 2)
-        dist = aggregate_uniform(p, d, SumPmf.degenerate(d, d), grid_h=d / 2.0**13)
+        dist = aggregate(UniformMargin(), d, SumPmf.degenerate(d, d), p, grid_h=d / 2.0**13)
         rng = np.random.default_rng(31)
         u0 = rng.random((10**6, d))
         u1 = rng.random((10**6, d))
@@ -221,8 +221,8 @@ class TestUniform:
 
     def test_fgm_extremal_printed_values(self):
         points = extremal_points(5, F(1, 2))
-        d7 = aggregate_uniform(F(1, 2), 5, points[6], grid_h=5 / 2.0**15)
-        d3 = aggregate_uniform(F(1, 2), 5, points[2], grid_h=5 / 2.0**15)
+        d7 = aggregate(UniformMargin(), 5, points[6], F(1, 2), grid_h=5 / 2.0**15)
+        d3 = aggregate(UniformMargin(), 5, points[2], F(1, 2), grid_h=5 / 2.0**15)
         assert es(d7, 0.8) == pytest.approx(3.2753, abs=1e-2)
         assert var(d3, 0.8) == pytest.approx(3.4928, abs=1e-2)
 
@@ -232,12 +232,12 @@ class TestUniform:
         spec = GfgmSpec.common(F(1, 2), ExchangeableDriver(SumPmf(5, g.values)))
         u = sample_u(spec, 2 * 10**5, seed=17)
         s = u.sum(axis=1)
-        dist = aggregate_uniform(F(1, 2), 5, g, grid_h=5 / 2.0**15)
+        dist = aggregate(UniformMargin(), 5, g, F(1, 2), grid_h=5 / 2.0**15)
         for level in (0.5, 0.8, 0.95):
             assert dist.quantile(level) == pytest.approx(np.quantile(s, level), abs=2e-2)
 
     def test_mass_within_tolerance(self):
-        dist = aggregate_uniform(F(1, 3), 6, min_convex(6, F(1, 3)), grid_h=6 / 2.0**14)
+        dist = aggregate(UniformMargin(), 6, min_convex(6, F(1, 3)), F(1, 3), grid_h=6 / 2.0**14)
         assert dist.probs.sum() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -247,8 +247,8 @@ class TestConvexOrderTransfer:
         lo = min_convex(d, p)
         hi = SumPmf.two_point(d, 0, d, 1 - p)
         margin = DiscreteMargin.from_power_cdf(0.5, 2, 8)
-        agg_lo = aggregate_discrete_common(margin, d, lo, p)
-        agg_hi = aggregate_discrete_common(margin, d, hi, p)
+        agg_lo = aggregate(margin, d, lo, p)
+        agg_hi = aggregate(margin, d, hi, p)
         grid = np.linspace(0, d * 8, 60)
         sl_lo = np.array([agg_lo.stop_loss(t) for t in grid])
         sl_hi = np.array([agg_hi.stop_loss(t) for t in grid])
@@ -256,7 +256,7 @@ class TestConvexOrderTransfer:
 
     def test_exponential_transfer(self):
         d, p = 6, F(1, 3)
-        lo = aggregate_exponential(0.2, d, min_convex(d, p), p)
-        hi = aggregate_exponential(0.2, d, SumPmf.two_point(d, 0, d, 1 - p), p)
+        lo = aggregate(ExponentialMargin(0.2), d, min_convex(d, p), p)
+        hi = aggregate(ExponentialMargin(0.2), d, SumPmf.two_point(d, 0, d, 1 - p), p)
         grid = np.linspace(0, 120, 40)
         assert all(lo.stop_loss(t) <= hi.stop_loss(t) + 1e-10 for t in grid)

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from gfgm import (
+    AtomDriver,
     DenseDriver,
     DiscreteMargin,
     ExchangeableDriver,
@@ -19,6 +21,7 @@ from gfgm import (
     min_convex,
     std,
 )
+from gfgm.aggregation import SplitTable
 from gfgm.bernoulli import BernoulliPmf
 from gfgm.reference import example_final_driver, example_final_margins
 
@@ -207,3 +210,67 @@ class TestSingleRisk:
             assert ces_alpha(j, driver, margins, 0.9) == report.ces[j - 1]
             assert expected_contribution(j, driver, margins, y) == report.var_contributions[j - 1]
             assert len(calls) == 6
+
+
+def covariance_oracle(driver, margins):
+    """Exact-Fraction Cov(X_a, X_b): Var X_a on the diagonal, and off it
+    (P(I_a = I_b = 1) - p_a p_b)(E Z1_a - E Z0_a)(E Z1_b - E Z0_b)."""
+    d, p = driver.d, driver.margins()
+    gaps = []
+    for jj in range(d):
+        e0, e1 = margins[jj].z_means(p[jj])
+        gaps.append(e1 - e0)
+    cov = np.zeros((d, d))
+    for a in range(d):
+        cov[a, a] = margins[a].var
+        for b in range(a + 1, d):
+            cov_i = float(driver.pair_joint11(a + 1, b + 1) - p[a] * p[b])
+            cov[a, b] = cov[b, a] = cov_i * gaps[a] * gaps[b]
+    return cov
+
+
+def seeded_atom_driver(d, atoms, seed):
+    rng = random.Random(seed)
+    weights = [rng.randint(1, 20) for _ in range(atoms)]
+    masks = rng.sample(range(1 << d), atoms)
+    return AtomDriver(d, tuple((m, F(w, sum(weights))) for m, w in zip(masks, weights)))
+
+
+class TestCovariance:
+    """SplitTable.covariance against the exact-Fraction formula, for each kind of driver."""
+
+    @staticmethod
+    def check(driver, margins):
+        table = SplitTable(margins, driver.margins())
+        cov, oracle = table.covariance(driver), covariance_oracle(driver, margins)
+        np.testing.assert_allclose(cov, oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
+        assert cov.sum() == pytest.approx(table.law(driver).variance(), rel=1e-12)
+
+    @pytest.mark.parametrize("label", [f"r{i}" for i in range(1, 13)])
+    def test_dense_example_final(self, label):
+        self.check(example_final_driver(label), example_final_margins())
+
+    def test_atoms_d10(self):
+        d = 10
+        margins = [DiscreteMargin.from_power_cdf(0.2 + 0.05 * j, 2 + j % 3, 15) for j in range(d)]
+        self.check(seeded_atom_driver(d, 16, seed=5), margins)
+
+    def test_exchangeable_d24(self):
+        d = 24
+        margins = [DiscreteMargin.from_power_cdf(0.2 + 0.01 * j, 2 + j % 3, 20) for j in range(d)]
+        self.check(ExchangeableDriver(min_convex(d, F(1, 3))), margins)
+
+    def test_one_split_table_per_report(self, monkeypatch):
+        import gfgm.aggregation as aggregation
+
+        margins, driver = small_portfolio()
+        expected = allocation_report(driver, margins, 0.9)
+        built, init = [], aggregation.SplitTable.__init__
+
+        def counting_init(table, *args):
+            built.append(args)
+            init(table, *args)
+
+        monkeypatch.setattr(aggregation.SplitTable, "__init__", counting_init)
+        assert allocation_report(driver, margins, 0.9) == expected
+        assert len(built) == 1

@@ -51,8 +51,17 @@ class TestVertices:
         assert "2 vertices" in err
 
     def test_cap_violation_is_usage_error(self, capsys):
-        code, _, _ = run(capsys, "vertices", "--p", ",".join(["1/2"] * 6))
+        code, out, err = run(capsys, "vertices", "--p", ",".join(["1/2"] * 6))
         assert code == 3
+        assert out == ""
+        assert err.startswith("gfgm: error: ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["vertices", "extremal"])
+    def test_cap_is_not_an_option(self, capsys, command):
+        code, out, err = run(capsys, command, "--p", "1/2,1/3", "--cap", "6")
+        assert code == 3
+        assert out == ""
+        assert "--cap" in err.strip().splitlines()[-1]
 
     @pytest.mark.parametrize("command", ["vertices", "extremal"])
     def test_csv_format_is_usage_error(self, capsys, command):

@@ -60,8 +60,7 @@ class TestSpecValidation:
         assert again.driver.atoms() == spec.driver.atoms()
 
     def test_atom_driver_json_round_trip(self):
-        blocks = sigma_cx_smallest_blocks(7, F(1, 7))
-        driver = AtomDriver.from_blocks(blocks)
+        driver = sigma_cx_smallest_blocks(7, F(1, 7))
         from gfgm import driver_from_json
 
         again = driver_from_json(driver.to_json())
@@ -310,8 +309,7 @@ class TestDependenceSummaries:
         assert pearson_x(spec, margins, 1, 2) == pytest.approx(-1 / 450, abs=1e-15)
 
     def test_block_mean_correlation_matches_equicorrelation(self):
-        blocks = sigma_cx_smallest_blocks(100, F(1, 3))
-        spec = GfgmSpec.common(F(1, 3), AtomDriver.from_blocks(blocks))
+        spec = GfgmSpec.common(F(1, 3), sigma_cx_smallest_blocks(100, F(1, 3)))
         margins = [ExponentialMargin(0.1)] * 100
         rhos = [
             pearson_x(spec, margins, j1, j2)

@@ -143,26 +143,26 @@ class TestConvexOrder:
 class TestBlocks:
     def test_d100_third_run_lengths(self):
         blocks = sigma_cx_smallest_blocks(100, F(1, 3))
-        lengths = [bin(m).count("1") for m in blocks.masks]
+        lengths = [bin(m).count("1") for m, _ in blocks.atoms()]
         assert lengths == [33, 34, 33]
-        assert blocks.weights == (F(1, 3),) * 3
+        assert [w for _, w in blocks.atoms()] == [F(1, 3)] * 3
 
     def test_d4_half(self):
         blocks = sigma_cx_smallest_blocks(4, F(1, 2))
-        assert set(blocks.masks) == {0b0011, 0b1100}
+        assert {m for m, _ in blocks.atoms()} == {0b0011, 0b1100}
         # brute force: the component sum is degenerate at 2
         assert blocks.sum_pmf().values == (F(0), F(0), F(1), F(0), F(0))
 
     def test_d2_half_countermonotone(self):
         blocks = sigma_cx_smallest_blocks(2, F(1, 2))
-        assert set(blocks.masks) == {0b01, 0b10}
+        assert {m for m, _ in blocks.atoms()} == {0b01, 0b10}
 
     def test_runs_partition_coordinates(self):
         for d, q in ((100, 3), (17, 4), (9, 2)):
             blocks = sigma_cx_smallest_blocks(d, F(1, q))
             combined = 0
             total = 0
-            for m in blocks.masks:
+            for m, _ in blocks.atoms():
                 assert combined & m == 0
                 combined |= m
                 total += bin(m).count("1")
@@ -172,8 +172,7 @@ class TestBlocks:
         for d, q in ((100, 3), (11, 5), (12, 4)):
             p = F(1, q)
             blocks = sigma_cx_smallest_blocks(d, p)
-            for j in range(1, d + 1):
-                assert blocks.margin(j) == p
+            assert blocks.margins() == (p,) * d
             assert blocks.sum_pmf() == min_convex(d, p)
 
     def test_no_construction_for_non_integer_reciprocal(self):
