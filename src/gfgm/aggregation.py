@@ -38,7 +38,7 @@ from scipy.fft import next_fast_len
 
 from .distributions import GridDistribution, LatticeDistribution, MixedErlangDistribution
 from .distributions import log_sum_exp
-from .drivers import as_driver
+from .drivers import DriverStack, as_driver
 from .margins import (
     DiscreteMargin,
     ExponentialMargin,
@@ -55,11 +55,12 @@ _GRID_TABLE_NODES = 1 << 24
 
 
 def _clean_pmf(pmf: np.ndarray) -> np.ndarray:
+    """Clip FFT round-off and renormalize a pmf, or each row of a stack of pmfs."""
     low = pmf.min()
     if low < -1e-9:
         raise ArithmeticError(f"FFT round-off produced mass {low}, beyond tolerance")
     pmf = np.clip(pmf, 0.0, None)
-    return pmf / pmf.sum()
+    return pmf / pmf.sum(axis=-1, keepdims=True)
 
 
 def _mixing_weights(sum_pmf, d: int) -> list[tuple[int, float]]:
@@ -226,6 +227,8 @@ class SplitTable:
       spectra, the log-mgf the log of the mixed split mgfs, and the variance
       the sum of the covariance matrix, so FFT round-off in the far tail,
       which e^{gamma x} would amplify, never reaches the entropic measure;
+      ``laws(drivers)`` gives the same laws for many drivers from one
+      ``DriverStack`` mixture and one batched inverse FFT;
     * ``covariance(driver)``: Cov(X_k, X_l) from the split means and
       variances and the pair probabilities P(I_k = I_l = 1);
     * ``spectra`` and ``size_biased``: the transforms of P(Z=k) and of
@@ -277,24 +280,28 @@ class SplitTable:
         if driver.d != self.d:
             raise ValueError(f"driver of dimension {driver.d} for a table of {self.d} margins")
 
-    def _log_mgf(self, driver, t: float) -> float:
-        """log E[e^{tS}] = log mix(M0_j(t), M1_j(t)), each coordinate scaled by its larger mgf."""
+    def _log_mgf(self, stack: DriverStack, mixed_at: dict, i: int, t: float) -> float:
+        """log E[e^{tS}] for driver i of the stack = log mix(M0_j(t), M1_j(t)), each
+        coordinate scaled by its larger mgf; ``mixed_at`` keeps the stack's mixture per t."""
         if t not in self._scaled_mgfs:
             l0, l1 = np.array([[z.log_mgf(t) for z in pair] for pair in self._split]).T
             top = np.maximum(l0, l1)
             self._scaled_mgfs[t] = float(top.sum()), np.exp(l0 - top), np.exp(l1 - top)
         log_scale, a, b = self._scaled_mgfs[t]
-        mixed = float(driver.mix(a, b))
+        if t not in mixed_at:
+            mixed_at[t] = stack.mix(a, b)
+        mixed = float(mixed_at[t][i])
         if not mixed > 0.0:
             raise ArithmeticError(f"mixture of split mgfs at t={t} underflows")
         return log_scale + math.log(mixed)
 
     def _covariance(self, joint: np.ndarray) -> np.ndarray:
         """Cov(X_k, X_l) = gap_k gap_l Cov(I_k, I_l), plus E Var(Z_{I_k}) on the diagonal,
-        from the pair probabilities joint[k, l] = P(I_k = I_l = 1)."""
-        p = joint.diagonal()
-        cov = (joint - p[:, None] * p) * self._gaps
-        cov.flat[:: self.d + 1] += self._v0 + p * self._dv
+        from the pair probabilities joint[..., k, l] = P(I_k = I_l = 1)."""
+        p = joint.diagonal(axis1=-2, axis2=-1)
+        cov = (joint - p[..., :, None] * p[..., None, :]) * self._gaps
+        diagonal = np.arange(self.d)
+        cov[..., diagonal, diagonal] += self._v0 + p * self._dv
         return cov
 
     def covariance(self, driver) -> np.ndarray:
@@ -303,24 +310,43 @@ class SplitTable:
         return self._covariance(driver.mix(*self._pair_columns).reshape(self.d, self.d))
 
     def law(self, driver) -> LatticeDistribution:
-        self._check(driver)
-        mixed = driver.mix(*self._columns)
-        spectrum, joint = mixed[: -self.d**2], mixed[-self.d**2:].real.reshape(self.d, self.d)
-        return LatticeDistribution(_clean_pmf(np.fft.irfft(spectrum, n=self.length)[: self.size]),
-                                   log_mgf=partial(self._log_mgf, driver),
-                                   variance=float(self._covariance(joint).sum()))
+        return self.laws([driver])[0]
+
+    def laws(self, drivers) -> list[LatticeDistribution]:
+        stack = DriverStack(drivers)
+        for driver in stack.drivers:
+            self._check(driver)
+        mixed = stack.mix(*self._columns)
+        cut = mixed.shape[1] - self.d**2
+        joint = mixed[:, cut:].real.reshape(-1, self.d, self.d)
+        pmfs = _clean_pmf(np.fft.irfft(mixed[:, :cut], n=self.length)[:, : self.size])
+        variances = self._covariance(joint).reshape(len(pmfs), -1).sum(axis=1)
+        mixed_at: dict[float, np.ndarray] = {}  # the stack's mixed split mgfs, per t
+        return LatticeDistribution.stack(
+            pmfs, [partial(self._log_mgf, stack, mixed_at, i) for i in range(len(pmfs))],
+            variances.tolist())
 
 
 def aggregate_discrete_general(margins: list[DiscreteMargin], driver,
-                               table: SplitTable | None = None) -> LatticeDistribution:
+                               table: SplitTable | None = None):
     """Sum with heterogeneous discrete margins, p_j from the driver margins.
 
     Given the driver the coordinates are independent, so the sum's law is the
     driver's mixture over the split laws (``SplitTable.law``), from the
-    call's ``table`` if given.
+    call's ``table`` if given.  For a list of drivers with the same margins
+    the answer is the list of their laws, from one stacked mixture
+    (``SplitTable.laws``).
     """
-    driver = as_driver(driver)
-    return (table or SplitTable(margins, driver.margins())).law(driver)
+    if not isinstance(driver, list):
+        driver = as_driver(driver)
+        return (table or SplitTable(margins, driver.margins())).law(driver)
+    drivers = [as_driver(x) for x in driver]
+    if table is None:
+        p = drivers[0].margins()
+        if any(x.margins() != p for x in drivers[1:]):
+            raise ValueError("stacked drivers must share their margins")
+        table = SplitTable(margins, p)
+    return table.laws(drivers)
 
 
 def aggregate(margin, d: int, sum_pmf, p, grid_h: float | None = None, laws=None):

@@ -30,9 +30,15 @@ MAX_NU_DIM = 20
 
 
 def as_fraction(x: RationalLike) -> Fraction:
-    """Coerce to Fraction, rejecting floats to keep the module exact."""
+    """Coerce to Fraction, rejecting floats to keep the module exact.
+
+    Strings are 'num/den' or decimals; exponents are refused, because
+    Fraction("1e999999999") would build a billion-digit integer.
+    """
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str) and "e" in x.lower():
+        raise ValueError(f"cannot read {x!r} as a rational: write num/den, not an exponent")
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"expected an exact rational (Fraction, int or 'num/den' string), got {x!r}")
@@ -104,12 +110,15 @@ class BernoulliPmf:
     def __post_init__(self):
         if not 1 <= self.d <= MAX_DENSE_DIM:
             raise ValueError(f"dimension {self.d} outside 1..{MAX_DENSE_DIM}")
-        values = tuple(as_fraction(v) for v in self.values)
+        values = tuple(map(as_fraction, self.values))
         if len(values) != 1 << self.d:
             raise ValueError(f"expected {1 << self.d} entries for d={self.d}, got {len(values)}")
-        if any(v.numerator < 0 for v in values):
+        ratios = [v.as_integer_ratio() for v in values]
+        if any(num < 0 for num, _ in ratios):
             raise ValueError("pmf entries must be nonnegative")
-        if sum(v for v in values if v) != 1:  # vertices are mostly zeros
+        # In integers on the common denominator: a Fraction sum reduces by a gcd at every step.
+        common = math.lcm(*{den for _, den in ratios})
+        if sum(num * (common // den) for num, den in ratios if num) != common:
             raise ValueError("pmf entries must sum to exactly 1")
         object.__setattr__(self, "values", values)
 

@@ -1,7 +1,8 @@
 """Command-line surface: extremal sets, bounds, allocation, table checks, MC validation.
 
 Exit codes: 0 success, 2 tolerance failure (reproduce/validate), 3 usage error
-(including inputs whose grids exceed the memory budget).
+(including inputs whose grids exceed the memory budget or whose floating-point
+arithmetic overflows).
 Rationals on the command line and in files are 'num/den' strings; reports
 print floats with 10 significant digits.
 """
@@ -39,9 +40,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_p(text: str):
-    parts = [s.strip() for s in text.split(",") if s.strip()]
-    if not parts:
+    parts = [s.strip() for s in text.split(",")]
+    if not any(parts):
         raise ValueError("empty margin parameter")
+    if not all(parts):
+        raise ValueError(f"empty entry in margin parameter {text!r}")
     try:
         values = [as_fraction(s) for s in parts]
     except ZeroDivisionError:
@@ -357,7 +360,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    except (ValueError, KeyError, OSError, MemoryError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError, ArithmeticError) as exc:
         print(f"gfgm: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -174,7 +174,10 @@ def sample_u(spec: GfgmSpec, n: int, seed: int = 0) -> np.ndarray:
     u0 = rng.random((n, spec.d))
     u1 = rng.random((n, spec.d))
     p = np.array([float(q) for q in spec.p])
-    return np.power(u0, 1.0 - p) * np.where(ind == 1, u1, 1.0)
+    np.copyto(u1, 1.0, where=ind != 1)  # U1^I, in place
+    u0 **= 1.0 - p
+    u0 *= u1
+    return u0
 
 
 def sample_x(spec: GfgmSpec, margins: list[Margin], n: int, seed: int = 0) -> np.ndarray:

@@ -59,6 +59,29 @@ class LatticeDistribution:
         self._exact_log_mgf = log_mgf
         self._exact_variance = variance
 
+    @staticmethod
+    def stack(probs, log_mgfs, variances) -> list["LatticeDistribution"]:
+        """One law per row of a 2-d pmf array: the constructor's checks and
+        normalization run over all rows at once, and each law equals
+        ``LatticeDistribution(row, log_mgf, variance)``."""
+        probs = np.asarray(probs, dtype=float)
+        if probs.min() < -1e-9:
+            raise ValueError(f"pmf entry {probs.min()} too negative for round-off")
+        probs = np.clip(probs, 0.0, None)
+        totals = probs.sum(axis=1, keepdims=True)
+        worst = float(totals[np.abs(totals - 1.0).argmax(), 0])
+        if abs(worst - 1.0) > 1e-10:
+            raise ValueError(f"pmf mass {worst} deviates from 1 beyond 1e-10")
+        probs = probs / totals
+        cdfs = np.cumsum(probs, axis=1)
+        out = []
+        for row, cdf, log_mgf, variance in zip(probs, cdfs, log_mgfs, variances):
+            dist = LatticeDistribution.__new__(LatticeDistribution)
+            dist.probs, dist._cdf = row, cdf
+            dist._exact_log_mgf, dist._exact_variance = log_mgf, variance
+            out.append(dist)
+        return out
+
     @property
     def support(self) -> np.ndarray:
         """Lattice points 0, 1, 2, ... in lattice steps, built on demand."""
@@ -168,7 +191,8 @@ class MixedErlangDistribution:
         bisection (a doubling while hi is unknown).  Steps shorter than tol/2
         are stretched to tol/2, so the next evaluation closes the bracket;
         the answer is its upper end, which is within tol or one float of the
-        quantile.  Answers are kept per level.
+        quantile.  Answers are kept per level; a cdf that is not finite (a
+        non-finite rate) raises ArithmeticError instead of stepping forever.
         """
         if not 0 < level < 1:
             raise ValueError("level must be inside (0,1)")
@@ -179,6 +203,8 @@ class MixedErlangDistribution:
         lo, hi, x = 0.0, math.inf, max(mean + sd * float(special.ndtri(level)), 0.5 * mean)
         for steps in itertools.count(1):
             cdf, pdf, slope = self._cdf_pdf(x)
+            if not math.isfinite(cdf):
+                raise ArithmeticError(f"mixed-Erlang cdf is {cdf} at x={x}")
             lo, hi = (lo, x) if cdf >= level else (x, hi)
             if hi - lo <= max(tol, math.ulp(lo)):  # adjacent floats cannot be split further
                 break

@@ -18,6 +18,7 @@ law of a heterogeneous sum and the Euler allocation vectors are all one
 driver-weighted mixture of coordinatewise products.  Each representation
 computes it with ``mix(a, b)``: dense and sparse drivers loop over their
 atoms, the exchangeable driver uses an elementary-symmetric recursion.
+``DriverStack`` mixes many drivers at once, one atom rank at a time.
 """
 
 from __future__ import annotations
@@ -238,6 +239,53 @@ def _mix_atoms(atoms, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             term *= b[j] if (mask >> j) & 1 else a[j]
         out += term
     return out
+
+
+def _mask_bits(masks, d: int) -> np.ndarray:
+    """(len(masks), d) uint8 array whose row i holds bits 0..d-1 of masks[i], at any d."""
+    width = (d + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    return np.unpackbits(raw.reshape(-1, width), axis=1, count=d, bitorder="little")
+
+
+class DriverStack:
+    """Drivers of one dimension mixed together: ``mix(a, b)`` is
+    ``np.stack([driver.mix(a, b) for driver in drivers])``, bit for bit.
+
+    Dense and sparse drivers are sorted by atom count, and step s mixes the
+    s-th atom of every driver that has one, with the products and sums of
+    ``_mix_atoms`` in the same order.  A lone driver, or a stack with an
+    exchangeable driver in it, goes through each driver's own ``mix``.
+    """
+
+    def __init__(self, drivers):
+        self.drivers = list(drivers)
+        if len({driver.d for driver in self.drivers}) > 1:
+            raise ValueError("drivers of different dimensions cannot be stacked")
+        self._steps = None
+        if len(self.drivers) < 2 or any(isinstance(x, ExchangeableDriver) for x in self.drivers):
+            return
+        atom_lists = [driver.atoms() for driver in self.drivers]
+        order = sorted(range(len(atom_lists)), key=lambda i: -len(atom_lists[i]))
+        self._inverse = np.argsort(order)
+        self._steps = []  # per step: weights and mask bits of the drivers that have an s-th atom
+        for s in range(len(atom_lists[order[0]])):
+            atoms = [atom_lists[i][s] for i in order if len(atom_lists[i]) > s]
+            self._steps.append((np.array([float(w) for _, w in atoms]),
+                                _mask_bits([m for m, _ in atoms], self.drivers[0].d)))
+
+    def mix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self._steps is None:
+            return np.stack([driver.mix(a, b) for driver in self.drivers])
+        dtype = np.result_type(a, b, float)
+        pair = np.stack([np.asarray(a, dtype), np.asarray(b, dtype)])  # pair[bit, j]
+        out = np.zeros((len(self.drivers),) + pair.shape[2:], dtype)
+        for weights, bits in self._steps:
+            term = weights.reshape((-1,) + (1,) * (pair.ndim - 2)) * pair[bits[:, 0], 0]
+            for j in range(1, bits.shape[1]):
+                term *= pair[bits[:, j], j]
+            out[: weights.size] += term
+        return out[self._inverse]
 
 
 def _sample_from_atoms(atoms, d: int, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -18,6 +18,7 @@ lower/upper tail quantities needed for dependence-free bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,9 +100,14 @@ class ExponentialMargin:
     kind = "exp"
 
     def __init__(self, rate: float):
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        self.rate = float(rate)
+        rate = float(rate)
+        if not 0.0 < rate < math.inf:  # also refuses nan
+            raise ValueError(f"rate must be positive and finite, got {rate}")
+        square = rate * rate
+        if not 0.0 < square < math.inf or 1.0 / square == math.inf:
+            raise ValueError(f"rate {rate} out of range: rate^2 and 1/rate^2 must be finite "
+                             "and positive")
+        self.rate = rate
 
     @property
     def mean(self) -> float:

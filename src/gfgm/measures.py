@@ -35,8 +35,8 @@ class Measure:
             if self.param is None or not 0 < self.param < 1:
                 raise ValueError(f"{self.kind} needs a level inside (0,1), got {self.param}")
         elif self.kind == "entropic":
-            if self.param is None or self.param <= 0:
-                raise ValueError(f"entropic needs gamma > 0, got {self.param}")
+            if self.param is None or not 0 < self.param < math.inf:
+                raise ValueError(f"entropic needs a finite gamma > 0, got {self.param}")
         elif self.param is not None:
             raise ValueError("std takes no parameter")
 

@@ -76,13 +76,18 @@ class SumPmf:
 
 
 def atom_margins(d: int, atoms) -> tuple[Fraction, ...]:
-    """P(I_j = 1), j = 1..d, of the Bernoulli pmf given as (mask, weight) atoms."""
-    out = [Fraction(0)] * d
-    for mask, w in atoms:
+    """P(I_j = 1), j = 1..d, of the Bernoulli pmf given as (mask, weight) atoms.
+
+    Sums run in integers on the weights' common denominator."""
+    atoms = [(mask, w.as_integer_ratio()) for mask, w in atoms]
+    common = math.lcm(*{den for _, (_, den) in atoms})
+    out = [0] * d
+    for mask, (num, den) in atoms:
+        num *= common // den
         for j in range(d):
             if (mask >> j) & 1:
-                out[j] += w
-    return tuple(out)
+                out[j] += num
+    return tuple(Fraction(x, common) for x in out)
 
 
 def atom_sum_pmf(d: int, atoms) -> SumPmf:

@@ -5,14 +5,18 @@ has a row of ones and one 0/1 row per mask bit.  Its d+1 equality rows are
 independent, so every vertex is the nonnegative solution of B x = (1, p) for
 some basis B: d+1 columns of A with det B != 0.
 
-Enumeration runs over all C(2^d, d+1) bases in fixed-size chunks of numpy
-arrays.  Floats propose and integers certify: each determinant is exact
-(fraction-free elimination in int64), the adjugate is a float inverse scaled
-by it and rounded, and the integer identity B @ adj == det I must hold or the
-call raises ArithmeticError.  With L the lcm of the denominators of p,
-x = adj @ (L, L p) / (det L), so feasibility is a sign test on integers and
-every entry is an exact Fraction: no float tolerance decides anything.
-Products switch to Python integers when L (d+1) max|adj| could pass 2^62.
+The bases depend only on d, so they are found once per process and d and
+kept as int8 arrays (``_basis_table``): 3,008 nonsingular bases and about
+0.1 MB at d = 4, 556,192 and about 24 MB at d = 5.  The search runs over all
+C(2^d, d+1) column sets in fixed-size chunks of numpy arrays.  Floats propose
+and integers certify: each determinant is exact (fraction-free elimination
+in int64), the adjugate is a float inverse scaled by it and rounded, and the
+integer identity B @ adj == det I must hold or the build raises
+ArithmeticError.  With L the lcm of the denominators of p,
+x = adj @ (L, L p) / (det L), so a call only multiplies, tests signs on
+integers and reduces each solution to an exact Fraction: no float tolerance
+decides anything.  Products switch to Python integers when L (d+1) 127,
+a bound on any entry of adj @ (L, L p), could pass 2^62.
 
 The search space is C(2^d, d+1): 906,192 bases at d = 5 but 621,216,192,
 686 times as many, at d = 6.  So d = 5 (``MAX_DIM``) is a hard cap, and
@@ -22,6 +26,7 @@ sum class instead.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -34,6 +39,7 @@ from .bernoulli import BernoulliPmf, margin_vector
 MAX_DIM = 5
 _CHUNK = 1 << 13  # bases per batch: a few MB of working arrays at d = 5
 _INT64_SAFE = 1 << 62
+_INT8_MAX = 127
 
 
 class EnumerationCapError(ValueError):
@@ -77,25 +83,47 @@ def _determinants(b: np.ndarray) -> np.ndarray:
     return m[:, n - 1, n - 1]
 
 
-def _feasible_solutions(b: np.ndarray, rhs: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@functools.cache
+def _basis_table(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every nonsingular basis of the d-dimensional class as (cols, q, adj), in search order.
+
+    ``cols`` holds the d+1 column (mask) indices, ``q`` = |det B| and ``adj``
+    the adjugate times sign(det B), so x = adj @ (L, L p) / (q L).  All three
+    are int8, checked when the table is built (masks reach 31, |adj| and
+    |det| 5 at d = 5).
+    """
+    masks = np.arange(1 << d)
+    a = np.vstack([np.ones_like(masks)] + [(masks >> j) & 1 for j in range(d)]).astype(np.int64)
+    eye = np.eye(d + 1, dtype=np.int64)
+    parts = []
+    for cols in _basis_chunks(1 << d, d + 1):
+        b = np.moveaxis(a[:, cols], 1, 0)
+        det = _determinants(b)
+        rows = np.flatnonzero(det)
+        b, det = b[rows], det[rows]
+        adj = np.rint(det[:, None, None] * np.linalg.inv(b)).astype(np.int64)
+        if not np.array_equal(b @ adj, det[:, None, None] * eye):
+            raise ArithmeticError("float inverse failed the integer check B @ adj == det I")
+        if max(np.abs(adj).max(initial=0), np.abs(det).max(initial=0), (1 << d) - 1) > _INT8_MAX:
+            raise ArithmeticError(f"basis table entries at d={d} do not fit in int8")
+        parts.append([x.astype(np.int8) for x in (cols[rows], np.abs(det),
+                                                   adj * np.sign(det)[:, None, None])])
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _feasible_solutions(adj: np.ndarray, q: np.ndarray, rhs: list[int]):
     """Indices of the nonnegative basic solutions, with x = y / (q L) in lowest terms.
 
     Returns (rows, y, q): q > 0 and y >= 0 are integers with gcd(q, y) = 1, in
     int64 or, when products could overflow, as Python integers.
     """
-    det = _determinants(b)
-    rows = np.flatnonzero(det)
-    b, det = b[rows], det[rows]
-    adj = np.rint(det[:, None, None] * np.linalg.inv(b)).astype(np.int64)
-    if not np.array_equal(b @ adj, det[:, None, None] * np.eye(b.shape[1], dtype=np.int64)):
-        raise ArithmeticError("float inverse failed the integer check B @ adj == det I")
-    wide = max(rhs) * len(rhs) * int(np.abs(adj).max(initial=0)) >= _INT64_SAFE
+    wide = max(rhs) * len(rhs) * _INT8_MAX >= _INT64_SAFE
     dtype = object if wide else np.int64
-    y = (adj.astype(dtype) @ np.array(rhs, dtype=dtype)) * np.sign(det)[:, None]
-    keep = (y >= 0).all(axis=1)
-    y, q = y[keep], np.abs(det[keep]).astype(dtype)
+    y = adj.astype(dtype) @ np.array(rhs, dtype=dtype)
+    rows = np.flatnonzero((y >= 0).all(axis=1))
+    y, q = y[rows], q[rows].astype(dtype)
     g = np.gcd(np.gcd.reduce(y, axis=1), q)
-    return rows[keep], y // g[:, None], q // g
+    return rows, y // g[:, None], q // g
 
 
 def enumerate_vertices(p) -> list[BernoulliPmf]:
@@ -115,13 +143,13 @@ def enumerate_vertices(p) -> list[BernoulliPmf]:
         )
     lcm = math.lcm(*(q.denominator for q in pv.probs))
     rhs = [lcm] + [q.numerator * (lcm // q.denominator) for q in pv.probs]
-    masks = np.arange(1 << d)
-    a = np.vstack([np.ones_like(masks)] + [(masks >> j) & 1 for j in range(d)]).astype(np.int64)
+    table_cols, table_q, table_adj = _basis_table(d)
     found: set[tuple[int, tuple[int, ...]]] = set()  # (q, y at every mask): x = y / (q L)
-    for cols in _basis_chunks(1 << d, d + 1):
-        rows, y, q = _feasible_solutions(np.moveaxis(a[:, cols], 1, 0), rhs)
+    for start in range(0, table_q.size, _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        rows, y, q = _feasible_solutions(table_adj[chunk], table_q[chunk], rhs)
         dense = np.zeros((rows.size, 1 << d), dtype=y.dtype)
-        np.put_along_axis(dense, cols[rows], y, axis=1)
+        np.put_along_axis(dense, table_cols[chunk][rows].astype(np.intp), y, axis=1)
         found.update(zip(q.tolist(), map(tuple, dense.tolist())))
     # On the common denominator Q L, integer order is the order of the vertices.
     common = math.lcm(*(q for q, _ in found))

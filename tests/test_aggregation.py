@@ -152,6 +152,47 @@ class TestDiscreteGeneral:
         assert general == pytest.approx(value, abs=0.01)
 
 
+def reference_law(table, driver):
+    """SplitTable.law as one driver at a time computed it: one driver.mix, one inverse
+    FFT, the LatticeDistribution constructor, the covariance sum and the mgf mixture."""
+    from gfgm.aggregation import _clean_pmf
+    from gfgm.distributions import LatticeDistribution
+
+    mixed = driver.mix(*table._columns)[: -table.d**2]
+    pmf = _clean_pmf(np.fft.irfft(mixed, n=table.length)[: table.size])
+
+    def log_mgf(t):
+        l0, l1 = np.array([[z.log_mgf(t) for z in pair] for pair in table._split]).T
+        top = np.maximum(l0, l1)
+        return float(top.sum()) + math.log(float(driver.mix(np.exp(l0 - top), np.exp(l1 - top))))
+
+    return LatticeDistribution(pmf, log_mgf=log_mgf,
+                               variance=float(table.covariance(driver).sum()))
+
+
+class TestStackedLaws:
+    """SplitTable.laws mixes all drivers at once; every law must equal the one-driver
+    computation bit for bit: pmf, cdf, variance and log-mgf."""
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_vertices_match_the_one_driver_reference(self, d):
+        from gfgm import enumerate_vertices
+        from gfgm.aggregation import SplitTable
+
+        p = [F(1, 2), F(1, 3), F(2, 3), F(1, 2)][:d]
+        margins = [DiscreteMargin.from_power_cdf(0.1 + 0.05 * j, 2.0 + 0.5 * j, 40 + 10 * j)
+                   for j in range(d)]
+        table = SplitTable(margins, p)
+        drivers = [DenseDriver(v) for v in enumerate_vertices(p)]
+        for driver, law in zip(drivers, table.laws(drivers)):
+            want = reference_law(table, driver)
+            assert law.probs.tobytes() == want.probs.tobytes()
+            assert law._cdf.tobytes() == want._cdf.tobytes()
+            assert law.variance() == want.variance()
+            for gamma in (0.001, 0.02):
+                assert law.log_mgf(gamma) == want.log_mgf(gamma)
+
+
 class TestExponential:
     def test_degenerate_at_zero_is_erlang(self):
         d, rate, p = 7, 0.5, F(1, 3)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,8 +17,9 @@ from gfgm import (
     sum_pmf,
     validate_membership,
 )
+from gfgm.bernoulli import as_fraction
 from gfgm.reference import EXAMPLE_FINAL_VERTICES
-from gfgm.sums import SumPmf, extremal_points
+from gfgm.sums import SumPmf, atom_margins, extremal_points
 
 
 def vertex(label):
@@ -59,6 +61,25 @@ class TestConstruction:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             BernoulliPmf(2, (0.25, 0.25, 0.25, 0.25))
+
+    def test_integer_check_rejects_a_negative_entry_that_keeps_the_sum(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            BernoulliPmf(2, (F(-1, 10**30), F(1, 2), F(1, 4), F(1, 4) + F(1, 10**30)))
+
+    @pytest.mark.parametrize("off", [F(1, 10**30), -F(1, 10**30)])
+    def test_integer_check_rejects_a_sum_off_by_1e_minus_30(self, off):
+        values = (F(1, 3), F(1, 6), F(1, 7), F(5, 14) + off)
+        assert sum(values) == 1 + off
+        with pytest.raises(ValueError, match="sum to exactly 1"):
+            BernoulliPmf(2, values)
+        assert BernoulliPmf(2, values[:3] + (F(5, 14),)).values[3] == F(5, 14)
+
+    def test_exponent_strings_are_refused(self):
+        # Fraction("1e999999999") would build a billion-digit integer first
+        for text in ("1e5", "3E-2", "1/2e1"):
+            with pytest.raises(ValueError, match="exponent"):
+                as_fraction(text)
+        assert as_fraction(" 7/10 ") == F(7, 10) and as_fraction("0.25") == F(1, 4)
 
     def test_json_round_trip(self):
         f = vertex("r6")
@@ -174,3 +195,18 @@ class TestCovariance:
         lo, hi = covariance_bounds(p, 1, 2)
         assert pair_covariance(comonotone_pmf(p), p, 1, 2)[0] == hi
         assert pair_covariance(countermonotone_pmf(*p), p, 1, 2)[0] == lo
+
+
+class TestAtomMargins:
+    def test_integer_sums_equal_fraction_sums(self):
+        rng = random.Random(11)
+        for d in (1, 3, 7):
+            atoms = [(rng.randrange(1 << d), F(rng.randint(0, 9), rng.randint(1, 40)))
+                     for _ in range(rng.randint(1, 12))]
+            expected = tuple(sum((w for m, w in atoms if (m >> j) & 1), F(0)) for j in range(d))
+            got = atom_margins(d, atoms)
+            assert got == expected
+            assert all(type(x) is F for x in got)
+
+    def test_no_atoms_give_zero_margins(self):
+        assert atom_margins(3, []) == (F(0),) * 3

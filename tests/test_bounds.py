@@ -140,6 +140,61 @@ class TestGeneralP:
         assert len(built) == 1
         assert [report.values[m] for m in measures] == [list(col) for col in zip(*separate)]
 
+    def test_one_stacked_aggregation_at_d4(self, monkeypatch):
+        import gfgm.bounds as bounds
+        from gfgm import DenseDriver, aggregate_discrete_general, enumerate_vertices, evaluate
+
+        margins = [DiscreteMargin.from_power_cdf(0.1 + 0.05 * j, 2.0 + 0.5 * j, 60)
+                   for j in range(4)]
+        p = [F(1, 2), F(1, 3), F(2, 3), F(1, 2)]
+        measures = ["var:0.95", "es:0.95", "entropic:0.01", "std"]
+        vertices = enumerate_vertices(p)
+        assert len(vertices) == 146
+        separate = [[evaluate(aggregate_discrete_general(margins, DenseDriver(v)), m)
+                     for m in measures] for v in vertices]
+        calls, aggregate = [], bounds.aggregate_discrete_general
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[1]))
+            return aggregate(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "aggregate_discrete_general", counting)
+        report = bounds_general_p(margins, p, measures)
+        assert calls == [146]
+        assert [report.values[m] for m in measures] == [list(col) for col in zip(*separate)]
+
+    def test_vertex_blocks_do_not_change_values(self, monkeypatch):
+        import gfgm.bounds as bounds
+
+        margins = example_final_margins()
+        p = [F(1, 2), F(1, 3), F(2, 3)]
+        measures = ["var:0.9", "es:0.9", "entropic:0.001", "std"]
+        whole = bounds_general_p(margins, p, measures)
+        monkeypatch.setattr(bounds, "_VERTEX_BLOCK", 5)  # 12 vertices: blocks of 5, 5 and 2
+        assert bounds_general_p(margins, p, measures).values == whole.values
+
+    def test_stacked_drivers_must_share_margins(self):
+        from gfgm import DenseDriver, aggregate_discrete_general, enumerate_vertices
+
+        margins = example_final_margins()
+        drivers = [DenseDriver(enumerate_vertices(p)[0])
+                   for p in ([F(1, 2), F(1, 3), F(2, 3)], [F(1, 2), F(1, 3), F(1, 3)])]
+        with pytest.raises(ValueError, match="share their margins"):
+            aggregate_discrete_general(margins, drivers)
+
+    def test_monte_carlo_values_pinned(self):
+        # Exact values of the seeded MC path; any change to sampling or estimators shows here.
+        report = bounds_general_p([ExponentialMargin(1.0), ExponentialMargin(2.0)], ["1/2", "1/3"],
+                                  ["var:0.9", "es:0.9", "entropic:0.01", "std"], mc_n=20000, seed=4)
+        assert report.values == {
+            "var:0.9": [2.895611832563529, 3.0682641349136666],
+            "es:0.9": [3.851709386586193, 4.097916969582624],
+            "entropic:0.01": [1.5098460070959163, 1.5143264976506643],
+            "std": [1.056471473087202, 1.1736868674408645],
+        }
+        assert report.metadata["mean_standard_errors"] == [0.007470381427501016,
+                                                           0.008299219429570317]
+
     def test_continuous_margins_fall_back_to_mc(self):
         margins = [ExponentialMargin(1.0), ExponentialMargin(2.0)]
         report = bounds_general_p(margins, ["1/2", "1/2"], ["es:0.9"], mc_n=20000, seed=4)

@@ -1,16 +1,36 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gfgm.cli import main
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv, timeout=30):
+    """The CLI in a child process, so an input that hangs fails the test instead of the run."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "gfgm.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=timeout)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def assert_one_line_usage_error(code, out, err):
+    assert code == 3
+    assert out == ""
+    assert err.startswith("gfgm: error: ") and len(err.strip().splitlines()) == 1
 
 
 class TestExtremal:
@@ -55,6 +75,12 @@ class TestVertices:
         assert code == 3
         assert out == ""
         assert err.startswith("gfgm: error: ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("p", ["1/2,,1/3", "1/2,1/3,", ",1/2,1/3"])
+    def test_empty_p_entry_is_usage_error(self, capsys, p):
+        code, out, err = run(capsys, "vertices", "--p", p)
+        assert_one_line_usage_error(code, out, err)
+        assert "empty entry" in err
 
     @pytest.mark.parametrize("command", ["vertices", "extremal"])
     def test_cap_is_not_an_option(self, capsys, command):
@@ -106,6 +132,28 @@ class TestBounds:
         assert code == 3
         assert out == ""
         assert err.startswith("gfgm: error:") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_exponential_rate_is_usage_error(self, rate):
+        # these used to hang in the mixed-Erlang quantile, hence the child process
+        code, out, err = run_process("bounds", "--margin", f"exp:{rate}", "--d", "4", "--p", "1/2",
+                                     "--measures", "std,es:0.9")
+        assert_one_line_usage_error(code, out, err)
+        assert "rate" in err
+
+    @pytest.mark.parametrize("rate", ["-inf", "0", "-1", "1e-200", "1e-160", "1e160"])
+    def test_out_of_range_exponential_rate_is_usage_error(self, capsys, rate):
+        # 1e-200 used to end in a ZeroDivisionError traceback from the variance
+        code, out, err = run(capsys, "bounds", "--margin", f"exp:{rate}", "--d", "4", "--p", "1/2",
+                             "--measures", "std,es:0.9")
+        assert_one_line_usage_error(code, out, err)
+        assert "rate" in err
+
+    def test_overflow_after_parsing_is_usage_error(self, capsys):
+        # the rate is accepted, but (rate / (1 - p))^2 = 4e308 overflows in the variance
+        code, out, err = run(capsys, "bounds", "--margin", "exp:1e154", "--d", "2", "--p", "1/2",
+                             "--measures", "std")
+        assert_one_line_usage_error(code, out, err)
 
     def test_format_is_not_a_bounds_option(self, capsys):
         code, out, err = run(capsys, "bounds", "--margin", "exp:0.1", "--d", "4", "--p", "1/2",

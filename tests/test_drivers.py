@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from gfgm import AtomDriver, ExchangeableDriver, max_convex, min_convex
+from gfgm import AtomDriver, DenseDriver, ExchangeableDriver, enumerate_vertices, max_convex, min_convex
+from gfgm.drivers import DriverStack
 from gfgm.sums import SumPmf, extremal_points
 
 
@@ -41,3 +42,53 @@ class TestMix:
         got = driver.mix(np.full((40, 2), x), np.full((40, 2), y))
         want = sum(float(v) * x ** (40 - k) * y**k for k, v in enumerate(g.values))
         assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+def random_atom_driver(rng, d, count):
+    masks = rng.choice(1 << min(d, 62), size=count, replace=False).tolist()
+    masks = [m << (d - min(d, 62)) for m in masks]  # past bit 63 at d > 62
+    weights = [F(int(w)) for w in rng.integers(1, 9, size=count)]
+    return AtomDriver(d, tuple((m, w / sum(weights)) for m, w in zip(masks, weights)))
+
+
+def bitwise_equal(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestDriverStack:
+    """A stack mixes the s-th atom of every driver at once; each row must be driver.mix bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(), (7,), (5, 3)], ids=["real-vector", "complex-2d", "complex-3d"])
+    def test_dense_vertices_match_mix(self, shape):
+        rng = np.random.default_rng(len(shape))
+        drivers = [DenseDriver(v) for v in enumerate_vertices([F(1, 2), F(1, 3), F(2, 3), F(1, 2)])]
+        if shape:
+            a, b = unit_disk(rng, (4,) + shape), unit_disk(rng, (4,) + shape)
+        else:
+            a, b = rng.uniform(0, 1, 4), rng.uniform(0, 1, 4)
+        stacked = DriverStack(drivers).mix(a, b)
+        assert bitwise_equal(stacked, np.stack([driver.mix(a, b) for driver in drivers]))
+
+    @pytest.mark.parametrize("d", [3, 9, 70])
+    def test_atom_drivers_with_different_atom_counts_match_mix(self, d):
+        rng = np.random.default_rng(d)
+        drivers = [random_atom_driver(rng, d, count) for count in (1, 6, 2, 6, 4)]
+        for a, b in [(unit_disk(rng, (d, 11)), unit_disk(rng, (d, 11))),
+                     (rng.uniform(0, 1, d), rng.uniform(0, 1, d)),
+                     (rng.uniform(0, 1, (d, 11)), unit_disk(rng, (d, 11)))]:
+            stacked = DriverStack(drivers).mix(a, b)
+            assert bitwise_equal(stacked, np.stack([driver.mix(a, b) for driver in drivers]))
+
+    def test_exchangeable_and_lone_drivers_use_their_own_mix(self):
+        rng = np.random.default_rng(5)
+        exchangeable = ExchangeableDriver(min_convex(6, F(1, 3)))
+        atoms = random_atom_driver(rng, 6, 4)
+        a, b = unit_disk(rng, (6, 9)), unit_disk(rng, (6, 9))
+        for drivers in ([exchangeable, atoms], [atoms]):
+            stacked = DriverStack(drivers).mix(a, b)
+            assert bitwise_equal(stacked, np.stack([driver.mix(a, b) for driver in drivers]))
+
+    def test_mixed_dimensions_refused(self):
+        rng = np.random.default_rng(6)
+        with pytest.raises(ValueError, match="dimensions"):
+            DriverStack([random_atom_driver(rng, 3, 2), random_atom_driver(rng, 4, 2)])

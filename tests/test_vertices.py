@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import gfgm.vertices as vertices_module
 from gfgm import (
     BernoulliPmf,
     EnumerationCapError,
@@ -202,3 +203,56 @@ class TestDecompose:
         outside = independence_pmf([F(1, 3), F(1, 2)])
         with pytest.raises(NotInPolytopeError):
             decompose(outside, vertices)
+
+
+class TestBasisTable:
+    """The bases depend only on d: one int8 table per process and d, certified when built."""
+
+    def test_second_call_at_the_same_d_builds_nothing(self, monkeypatch):
+        calls, determinants = [], vertices_module._determinants
+
+        def counting(b):
+            calls.append(len(b))
+            return determinants(b)
+
+        monkeypatch.setattr(vertices_module, "_determinants", counting)
+        enumerate_vertices([F(1, 2), F(1, 3), F(2, 3)])
+        calls.clear()
+        assert [v.values for v in enumerate_vertices([F(1, 4), F(3, 5), F(1, 2)])] == \
+            oracle_vertices([F(1, 4), F(3, 5), F(1, 2)])
+        assert calls == []
+
+    def test_d5_table_fits_in_25_mb(self):
+        # about 43 bytes a basis; built once per process (the d5 completeness test shares it,
+        # so this runs before the test below clears the cache)
+        cols, q, adj = vertices_module._basis_table(5)
+        assert len(q) == 556_192
+        assert cols.nbytes + q.nbytes + adj.nbytes <= 25_000_000
+
+    def test_perturbed_inverse_fails_the_integer_certificate(self, monkeypatch):
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda b: inv(b) + 0.75)
+        vertices_module._basis_table.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError, match="B @ adj == det I"):
+                enumerate_vertices([F(1, 2), F(1, 3), F(2, 3)])
+        finally:
+            vertices_module._basis_table.cache_clear()
+
+    def test_cap_refused_before_any_table_is_built(self, monkeypatch):
+        def refuse(d):
+            raise AssertionError(f"basis table built at d={d}")
+
+        monkeypatch.setattr(vertices_module, "_basis_table", refuse)
+        with pytest.raises(EnumerationCapError):
+            enumerate_vertices([F(1, 2)] * (vertices_module.MAX_DIM + 1))
+
+    @pytest.mark.parametrize("d,count", [(2, 4), (3, 58), (4, 3008)])
+    def test_table_is_int8_with_certified_adjugates(self, d, count):
+        cols, q, adj = vertices_module._basis_table(d)
+        assert {x.dtype for x in (cols, q, adj)} == {np.dtype(np.int8)}
+        assert len(cols) == len(q) == len(adj) == count
+        masks = cols.astype(np.int64)
+        b = np.stack([np.ones_like(masks)] + [(masks >> j) & 1 for j in range(d)], axis=1)
+        eye = np.eye(d + 1, dtype=np.int64)
+        assert np.array_equal(b @ adj.astype(np.int64), q.astype(np.int64)[:, None, None] * eye)
