@@ -113,6 +113,11 @@ class ConditionalLaws:
         self.h, self._tol = None, (1e-8, 1e-8)  # lattice step, (rtol, atol) of the mean check
         if isinstance(margin, ExponentialMargin):
             self.beta = margin.rate / (1.0 - self.p)
+            # floats must hold the mixture rate squared and E[S^2] <= d^2 E[X^2] = 2 d^2 / rate^2
+            if not self.beta * self.beta < math.inf or not 2.0 * d * d / margin.rate**2 < math.inf:
+                raise ValueError(f"rate {margin.rate} out of range at p={self.p}, d={d}: the "
+                                 "squared mixture rate rate/(1-p) or the sum's second moment "
+                                 "is not finite")
         elif isinstance(margin, DiscreteMargin):
             self.h, self.size = 1.0, d * margin.n + 1
         elif isinstance(margin, UniformMargin):
@@ -333,20 +338,16 @@ def aggregate_discrete_general(margins: list[DiscreteMargin], driver,
 
     Given the driver the coordinates are independent, so the sum's law is the
     driver's mixture over the split laws (``SplitTable.law``), from the
-    call's ``table`` if given.  For a list of drivers with the same margins
-    the answer is the list of their laws, from one stacked mixture
-    (``SplitTable.laws``).
+    call's ``table`` if given.  For a list of drivers, which needs the
+    ``table`` of their common margins, the answer is the list of their laws
+    from one stacked mixture (``SplitTable.laws``).
     """
-    if not isinstance(driver, list):
-        driver = as_driver(driver)
-        return (table or SplitTable(margins, driver.margins())).law(driver)
-    drivers = [as_driver(x) for x in driver]
-    if table is None:
-        p = drivers[0].margins()
-        if any(x.margins() != p for x in drivers[1:]):
-            raise ValueError("stacked drivers must share their margins")
-        table = SplitTable(margins, p)
-    return table.laws(drivers)
+    if isinstance(driver, list):
+        if table is None:
+            raise ValueError("a list of drivers needs the table of their margins")
+        return table.laws([as_driver(x) for x in driver])
+    driver = as_driver(driver)
+    return (table or SplitTable(margins, driver.margins())).law(driver)
 
 
 def aggregate(margin, d: int, sum_pmf, p, grid_h: float | None = None, laws=None):

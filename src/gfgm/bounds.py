@@ -41,7 +41,8 @@ from .sums import extremal_points, max_convex_point, min_convex_point
 from .vertices import enumerate_vertices
 
 _CONVEX_CHECK_RTOL = 1e-9
-_VERTEX_BLOCK = 512  # vertices per stacked aggregation, bounding its arrays (d = 5: ~30 blocks)
+# vertices x lattice length per stacked aggregation: 8 MB a float array, about 50 MB at peak
+_STACK_NODES = 1 << 20
 
 
 class ConvexBoundViolation(AssertionError):
@@ -197,8 +198,9 @@ def bounds_general_p(
     mc_se = []
     if all_discrete:  # one split table, one stacked mixture per block of vertices
         table = SplitTable(margins, pv.probs)
-        for start in range(0, len(vertices), _VERTEX_BLOCK):
-            drivers = [DenseDriver(v) for v in vertices[start:start + _VERTEX_BLOCK]]
+        block = max(1, _STACK_NODES // table.length)
+        for start in range(0, len(vertices), block):
+            drivers = [DenseDriver(v) for v in vertices[start:start + block]]
             for dist in aggregate_discrete_general(margins, drivers, table=table):
                 rows.append([evaluate(dist, m) for m in measures])
     else:

@@ -1,8 +1,7 @@
 """Command-line surface: extremal sets, bounds, allocation, table checks, MC validation.
 
 Exit codes: 0 success, 2 tolerance failure (reproduce/validate), 3 usage error
-(including inputs whose grids exceed the memory budget or whose floating-point
-arithmetic overflows).
+(including inputs whose grids exceed the memory budget).
 Rationals on the command line and in files are 'num/den' strings; reports
 print floats with 10 significant digits.
 """
@@ -360,7 +359,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    except (ValueError, KeyError, OSError, MemoryError, ArithmeticError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"gfgm: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

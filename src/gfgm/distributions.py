@@ -35,6 +35,21 @@ def log_sum_exp(values) -> float:
     return float(top + np.log(np.exp(values - top).sum()))
 
 
+def _normalized(probs) -> tuple[np.ndarray, np.ndarray]:
+    """A pmf, or each row of a stack of pmfs, checked, clipped and normalized
+    along the last axis, with its cdf."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.min() < -1e-9:
+        raise ValueError(f"pmf entry {probs.min()} too negative for round-off")
+    probs = np.clip(probs, 0.0, None)
+    totals = probs.sum(axis=-1, keepdims=True)
+    worst = totals.flat[np.abs(totals - 1.0).argmax()]
+    if abs(worst - 1.0) > 1e-10:
+        raise ValueError(f"pmf mass {worst} deviates from 1 beyond 1e-10")
+    probs = probs / totals
+    return probs, np.cumsum(probs, axis=-1)
+
+
 class LatticeDistribution:
     """pmf on the lattice {0, h, 2h, ...}, step h = 1 here (the integers).
 
@@ -47,38 +62,21 @@ class LatticeDistribution:
     _node_slack = 0.0  # the cdf counts a node this many steps above x
 
     def __init__(self, probs, log_mgf=None, variance=None):
-        probs = np.asarray(probs, dtype=float)
-        if probs.min() < -1e-9:
-            raise ValueError(f"pmf entry {probs.min()} too negative for round-off")
-        probs = np.clip(probs, 0.0, None)
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"pmf mass {total} deviates from 1 beyond 1e-10")
-        self.probs = probs / total
-        self._cdf = np.cumsum(self.probs)
+        self._set(*_normalized(probs), log_mgf, variance)
+
+    def _set(self, probs, cdf, log_mgf, variance) -> None:
+        self.probs, self._cdf = probs, cdf
         self._exact_log_mgf = log_mgf
         self._exact_variance = variance
 
     @staticmethod
     def stack(probs, log_mgfs, variances) -> list["LatticeDistribution"]:
-        """One law per row of a 2-d pmf array: the constructor's checks and
-        normalization run over all rows at once, and each law equals
-        ``LatticeDistribution(row, log_mgf, variance)``."""
-        probs = np.asarray(probs, dtype=float)
-        if probs.min() < -1e-9:
-            raise ValueError(f"pmf entry {probs.min()} too negative for round-off")
-        probs = np.clip(probs, 0.0, None)
-        totals = probs.sum(axis=1, keepdims=True)
-        worst = float(totals[np.abs(totals - 1.0).argmax(), 0])
-        if abs(worst - 1.0) > 1e-10:
-            raise ValueError(f"pmf mass {worst} deviates from 1 beyond 1e-10")
-        probs = probs / totals
-        cdfs = np.cumsum(probs, axis=1)
+        """One law per row of a 2-d pmf array, each equal to ``LatticeDistribution(row,
+        log_mgf, variance)``: the checks and normalization run over all rows at once."""
         out = []
-        for row, cdf, log_mgf, variance in zip(probs, cdfs, log_mgfs, variances):
+        for row, cdf, log_mgf, variance in zip(*_normalized(probs), log_mgfs, variances):
             dist = LatticeDistribution.__new__(LatticeDistribution)
-            dist.probs, dist._cdf = row, cdf
-            dist._exact_log_mgf, dist._exact_variance = log_mgf, variance
+            dist._set(row, cdf, log_mgf, variance)
             out.append(dist)
         return out
 

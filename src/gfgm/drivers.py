@@ -254,8 +254,8 @@ class DriverStack:
 
     Dense and sparse drivers are sorted by atom count, and step s mixes the
     s-th atom of every driver that has one, with the products and sums of
-    ``_mix_atoms`` in the same order.  A lone driver, or a stack with an
-    exchangeable driver in it, goes through each driver's own ``mix``.
+    ``_mix_atoms`` in the same order.  A lone driver, of any kind, goes
+    through its own ``mix``.
     """
 
     def __init__(self, drivers):
@@ -263,8 +263,10 @@ class DriverStack:
         if len({driver.d for driver in self.drivers}) > 1:
             raise ValueError("drivers of different dimensions cannot be stacked")
         self._steps = None
-        if len(self.drivers) < 2 or any(isinstance(x, ExchangeableDriver) for x in self.drivers):
+        if len(self.drivers) < 2:
             return
+        if any(isinstance(x, ExchangeableDriver) for x in self.drivers):
+            raise ValueError("exchangeable drivers are mixed one at a time, not stacked")
         atom_lists = [driver.atoms() for driver in self.drivers]
         order = sorted(range(len(atom_lists)), key=lambda i: -len(atom_lists[i]))
         self._inverse = np.argsort(order)

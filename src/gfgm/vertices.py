@@ -15,7 +15,7 @@ integer identity B @ adj == det I must hold or the build raises
 ArithmeticError.  With L the lcm of the denominators of p,
 x = adj @ (L, L p) / (det L), so a call only multiplies, tests signs on
 integers and reduces each solution to an exact Fraction: no float tolerance
-decides anything.  Products switch to Python integers when L (d+1) 127,
+decides anything.  Products switch to Python integers when L (d+1) max|adj|,
 a bound on any entry of adj @ (L, L p), could pass 2^62.
 
 The search space is C(2^d, d+1): 906,192 bases at d = 5 but 621,216,192,
@@ -84,8 +84,9 @@ def _determinants(b: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _basis_table(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every nonsingular basis of the d-dimensional class as (cols, q, adj), in search order.
+def _basis_table(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Every nonsingular basis of the d-dimensional class as (cols, q, adj), in search
+    order, and max|adj|.
 
     ``cols`` holds the d+1 column (mask) indices, ``q`` = |det B| and ``adj``
     the adjugate times sign(det B), so x = adj @ (L, L p) / (q L).  All three
@@ -108,16 +109,18 @@ def _basis_table(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise ArithmeticError(f"basis table entries at d={d} do not fit in int8")
         parts.append([x.astype(np.int8) for x in (cols[rows], np.abs(det),
                                                    adj * np.sign(det)[:, None, None])])
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    cols, q, adj = (np.concatenate(column) for column in zip(*parts))
+    return cols, q, adj, int(np.abs(adj).max(initial=0))
 
 
-def _feasible_solutions(adj: np.ndarray, q: np.ndarray, rhs: list[int]):
+def _feasible_solutions(adj: np.ndarray, q: np.ndarray, rhs: list[int], max_adj: int):
     """Indices of the nonnegative basic solutions, with x = y / (q L) in lowest terms.
 
     Returns (rows, y, q): q > 0 and y >= 0 are integers with gcd(q, y) = 1, in
-    int64 or, when products could overflow, as Python integers.
+    int64 or, when products could overflow (``max_adj`` bounds |adj|), as
+    Python integers.
     """
-    wide = max(rhs) * len(rhs) * _INT8_MAX >= _INT64_SAFE
+    wide = max(rhs) * len(rhs) * max_adj >= _INT64_SAFE
     dtype = object if wide else np.int64
     y = adj.astype(dtype) @ np.array(rhs, dtype=dtype)
     rows = np.flatnonzero((y >= 0).all(axis=1))
@@ -143,11 +146,11 @@ def enumerate_vertices(p) -> list[BernoulliPmf]:
         )
     lcm = math.lcm(*(q.denominator for q in pv.probs))
     rhs = [lcm] + [q.numerator * (lcm // q.denominator) for q in pv.probs]
-    table_cols, table_q, table_adj = _basis_table(d)
+    table_cols, table_q, table_adj, max_adj = _basis_table(d)
     found: set[tuple[int, tuple[int, ...]]] = set()  # (q, y at every mask): x = y / (q L)
     for start in range(0, table_q.size, _CHUNK):
         chunk = slice(start, start + _CHUNK)
-        rows, y, q = _feasible_solutions(table_adj[chunk], table_q[chunk], rhs)
+        rows, y, q = _feasible_solutions(table_adj[chunk], table_q[chunk], rhs, max_adj)
         dense = np.zeros((rows.size, 1 << d), dtype=y.dtype)
         np.put_along_axis(dense, table_cols[chunk][rows].astype(np.intp), y, axis=1)
         found.update(zip(q.tolist(), map(tuple, dense.tolist())))

@@ -165,22 +165,45 @@ class TestGeneralP:
 
     def test_vertex_blocks_do_not_change_values(self, monkeypatch):
         import gfgm.bounds as bounds
+        from gfgm.aggregation import SplitTable
 
         margins = example_final_margins()
         p = [F(1, 2), F(1, 3), F(2, 3)]
         measures = ["var:0.9", "es:0.9", "entropic:0.001", "std"]
         whole = bounds_general_p(margins, p, measures)
-        monkeypatch.setattr(bounds, "_VERTEX_BLOCK", 5)  # 12 vertices: blocks of 5, 5 and 2
-        assert bounds_general_p(margins, p, measures).values == whole.values
+        blocks, aggregate = [], bounds.aggregate_discrete_general
 
-    def test_stacked_drivers_must_share_margins(self):
+        def counting(*args, **kwargs):
+            blocks.append(len(args[1]))
+            return aggregate(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "aggregate_discrete_general", counting)
+        monkeypatch.setattr(bounds, "_STACK_NODES", 5 * SplitTable(margins, p).length + 1)
+        assert bounds_general_p(margins, p, measures).values == whole.values
+        assert blocks == [5, 5, 2]  # 12 vertices
+
+    def test_large_support_blocks_stay_within_the_node_budget(self, monkeypatch):
+        # the 146 vertices of a d=4 lattice of 16,001 nodes take 2.3e6 nodes in all
+        import gfgm.bounds as bounds
+
+        margins = [DiscreteMargin.from_power_cdf(0.1 + 0.05 * j, 2.0, 4000) for j in range(4)]
+        blocks, aggregate = [], bounds.aggregate_discrete_general
+
+        def counting(margins, drivers, table):
+            blocks.append(len(drivers) * table.length)
+            return aggregate(margins, drivers, table=table)
+
+        monkeypatch.setattr(bounds, "aggregate_discrete_general", counting)
+        report = bounds_general_p(margins, [F(1, 2), F(1, 3), F(2, 3), F(1, 2)], ["std"])
+        assert len(report.values["std"]) == 146
+        assert len(blocks) > 1 and max(blocks) <= bounds._STACK_NODES
+
+    def test_stacked_drivers_need_the_table(self):
         from gfgm import DenseDriver, aggregate_discrete_general, enumerate_vertices
 
-        margins = example_final_margins()
-        drivers = [DenseDriver(enumerate_vertices(p)[0])
-                   for p in ([F(1, 2), F(1, 3), F(2, 3)], [F(1, 2), F(1, 3), F(1, 3)])]
-        with pytest.raises(ValueError, match="share their margins"):
-            aggregate_discrete_general(margins, drivers)
+        drivers = [DenseDriver(v) for v in enumerate_vertices([F(1, 2), F(1, 3), F(2, 3)])]
+        with pytest.raises(ValueError, match="table"):
+            aggregate_discrete_general(example_final_margins(), drivers)
 
     def test_monte_carlo_values_pinned(self):
         # Exact values of the seeded MC path; any change to sampling or estimators shows here.

@@ -149,11 +149,14 @@ class TestBounds:
         assert_one_line_usage_error(code, out, err)
         assert "rate" in err
 
-    def test_overflow_after_parsing_is_usage_error(self, capsys):
-        # the rate is accepted, but (rate / (1 - p))^2 = 4e308 overflows in the variance
-        code, out, err = run(capsys, "bounds", "--margin", "exp:1e154", "--d", "2", "--p", "1/2",
+    @pytest.mark.parametrize("rate", ["1e154", "8.7e-155"])
+    def test_overflow_after_parsing_is_usage_error(self, capsys, rate):
+        # the rate is accepted, but the mixture rate rate / (1 - p) has a square of 4e308 or,
+        # at 8.7e-155, the squared mean of the sum overflowed in the variance (OverflowError)
+        code, out, err = run(capsys, "bounds", "--margin", f"exp:{rate}", "--d", "3", "--p", "1/2",
                              "--measures", "std")
         assert_one_line_usage_error(code, out, err)
+        assert "out of range" in err
 
     def test_format_is_not_a_bounds_option(self, capsys):
         code, out, err = run(capsys, "bounds", "--margin", "exp:0.1", "--d", "4", "--p", "1/2",

@@ -79,14 +79,18 @@ class TestDriverStack:
             stacked = DriverStack(drivers).mix(a, b)
             assert bitwise_equal(stacked, np.stack([driver.mix(a, b) for driver in drivers]))
 
-    def test_exchangeable_and_lone_drivers_use_their_own_mix(self):
+    def test_lone_drivers_use_their_own_mix(self):
         rng = np.random.default_rng(5)
         exchangeable = ExchangeableDriver(min_convex(6, F(1, 3)))
         atoms = random_atom_driver(rng, 6, 4)
         a, b = unit_disk(rng, (6, 9)), unit_disk(rng, (6, 9))
-        for drivers in ([exchangeable, atoms], [atoms]):
-            stacked = DriverStack(drivers).mix(a, b)
-            assert bitwise_equal(stacked, np.stack([driver.mix(a, b) for driver in drivers]))
+        for driver in (exchangeable, atoms):
+            assert bitwise_equal(DriverStack([driver]).mix(a, b), driver.mix(a, b)[None])
+
+    def test_exchangeable_driver_in_a_stack_refused(self):
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="exchangeable"):
+            DriverStack([ExchangeableDriver(min_convex(6, F(1, 3))), random_atom_driver(rng, 6, 4)])
 
     def test_mixed_dimensions_refused(self):
         rng = np.random.default_rng(6)

@@ -222,10 +222,25 @@ class TestBasisTable:
             oracle_vertices([F(1, 4), F(3, 5), F(1, 2)])
         assert calls == []
 
+    def test_products_stay_int64_up_to_the_tables_adjugate_bound(self, monkeypatch):
+        # max|adj| is 3 at d=4: an lcm of 6e16 gives |y| <= 6e16 * 5 * 3 < 2^62, so no
+        # Python-integer products (a bound of 127 would switch to them)
+        p = [F(1, 2), F(1, 3), F(7, 10**16 + 1), F(1, 2)]
+        dtypes, solve = [], vertices_module._feasible_solutions
+
+        def recording(*args):
+            rows, y, q = solve(*args)
+            dtypes.append(y.dtype)
+            return rows, y, q
+
+        monkeypatch.setattr(vertices_module, "_feasible_solutions", recording)
+        assert [v.values for v in enumerate_vertices(p)] == oracle_vertices(p)
+        assert set(dtypes) == {np.dtype(np.int64)}
+
     def test_d5_table_fits_in_25_mb(self):
         # about 43 bytes a basis; built once per process (the d5 completeness test shares it,
         # so this runs before the test below clears the cache)
-        cols, q, adj = vertices_module._basis_table(5)
+        cols, q, adj, _ = vertices_module._basis_table(5)
         assert len(q) == 556_192
         assert cols.nbytes + q.nbytes + adj.nbytes <= 25_000_000
 
@@ -249,9 +264,10 @@ class TestBasisTable:
 
     @pytest.mark.parametrize("d,count", [(2, 4), (3, 58), (4, 3008)])
     def test_table_is_int8_with_certified_adjugates(self, d, count):
-        cols, q, adj = vertices_module._basis_table(d)
+        cols, q, adj, max_adj = vertices_module._basis_table(d)
         assert {x.dtype for x in (cols, q, adj)} == {np.dtype(np.int8)}
         assert len(cols) == len(q) == len(adj) == count
+        assert max_adj == np.abs(adj).max()
         masks = cols.astype(np.int64)
         b = np.stack([np.ones_like(masks)] + [(masks >> j) & 1 for j in range(d)], axis=1)
         eye = np.eye(d + 1, dtype=np.int64)
