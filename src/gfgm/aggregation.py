@@ -19,7 +19,11 @@ The split components Z0 and Z1 (or their grid lumps) are held as
 one too (``GridDistribution`` on the uniform grid).  Its log-mgf and
 variance come in closed form from the split laws' own log-mgfs and moments,
 so FFT round-off in the far tail, which e^{gamma x} would amplify, never
-reaches the entropic measure.  Heterogeneous discrete margins need the whole
+reaches the entropic measure.  Exponential margins split additively into
+Z0 ~ Exp(beta) and Z1 = Z0 + Exp(rate), beta = rate/(1-p), whose log-mgfs
+and moments are closed forms, so their entropic measure and variance never
+see the truncated stage weights either; gamma >= rate is refused, since
+E e^{gamma S} is then infinite.  Heterogeneous discrete margins need the whole
 driver, not just its sum: ``SplitTable`` holds their per-coordinate split
 laws, and the law of S is the inverse FFT of ``Driver.mix`` over the split
 spectra, with the log-mgf and variance again in closed form.  The same table
@@ -37,7 +41,6 @@ from scipy import stats
 from scipy.fft import next_fast_len
 
 from .distributions import GridDistribution, LatticeDistribution, MixedErlangDistribution
-from .distributions import log_sum_exp
 from .drivers import DriverStack, as_driver
 from .margins import (
     DiscreteMargin,
@@ -121,13 +124,14 @@ class ConditionalLaws:
         elif isinstance(margin, DiscreteMargin):
             self.h, self.size = 1.0, d * margin.n + 1
         elif isinstance(margin, UniformMargin):
+            if grid_h is not None and not 0 < grid_h <= 1:  # also refuses nan
+                raise ValueError(f"grid step {grid_h} outside (0, 1], the margin's support")
             self.h = d / 2.0**15 if grid_h is None else float(grid_h)
             self._tol = (0.0, 1e-6)
-            if self.h <= 0:
-                raise ValueError("grid step must be positive")
+            if not d / self.h + d + 1 <= _GRID_ROW_NODES:  # also a d / h that overflows
+                raise MemoryError(f"grid of {d / self.h + d + 1:.4g} nodes exceeds the budget; "
+                                  "raise grid_h")
             self.size = int(np.ceil(d / self.h)) + d + 1
-            if self.size > _GRID_ROW_NODES:
-                raise MemoryError(f"grid of {self.size} nodes exceeds the budget; raise grid_h")
         else:
             raise ValueError(f"unsupported margin type {type(margin).__name__}")
         if self.h is not None:
@@ -187,22 +191,43 @@ class ConditionalLaws:
 
     @cached_property
     def _split_moments(self) -> list[tuple[float, float]]:
-        """(mean, variance) of each split law, in lattice steps."""
+        """(mean, variance) of each split law, in lattice steps; for exponential margins
+        of Z0 ~ Exp(beta) and Z1 = Z0 + Exp(rate), in the margin's units."""
+        if self.h is None:
+            inv_beta, inv_rate = 1.0 / self.beta, 1.0 / self.margin.rate
+            return [(inv_beta, inv_beta**2), (inv_beta + inv_rate, inv_beta**2 + inv_rate**2)]
         return [(z.mean(), z.variance()) for z in self._split]
 
-    def _log_mgf(self, pairs, t: float) -> float:
-        """log E[e^{tS}], S in lattice steps; row k contributes (d-k) log M0(t) + k log M1(t)."""
+    def _split_log_mgf(self, t: float) -> tuple[float, float]:
+        """log M0(t) and log M1(t), closed-form for exponential margins."""
         if t not in self._split_log_mgfs:
-            self._split_log_mgfs[t] = tuple(z.log_mgf(t) for z in self._split)
-        l0, l1 = self._split_log_mgfs[t]
-        return log_sum_exp([math.log(w) + (self.d - k) * l0 + k * l1 for k, w in pairs])
+            if self.h is None:
+                self.margin.check_mgf(t)
+                l0 = -math.log1p(-t / self.beta)
+                self._split_log_mgfs[t] = l0, l0 - math.log1p(-t / self.margin.rate)
+            else:
+                self._split_log_mgfs[t] = tuple(z.log_mgf(t) for z in self._split)
+        return self._split_log_mgfs[t]
+
+    def _log_mgf(self, pairs, t: float) -> float:
+        """log E[e^{tS}], S in lattice steps; row k contributes (d-k) log M0(t) + k log M1(t).
+
+        With c the largest row term it is c + log1p(sum_k w_k expm1(row_k - c)), the
+        weights normalized, so a tiny t keeps its tiny answer instead of the round-off of
+        the weights' sum."""
+        l0, l1 = self._split_log_mgf(t)
+        rows = [(self.d - k) * l0 + k * l1 for k, _ in pairs]
+        top = max(rows)
+        mixed = sum(w * math.expm1(row - top) for (_, w), row in zip(pairs, rows))
+        return top + math.log1p(mixed / sum(w for _, w in pairs))
 
     def _variance(self, pairs) -> float:
         """Variance in lattice steps, from the rows' means and variances."""
         (m0, v0), (m1, v1) = self._split_moments
-        k, w = np.array(pairs).T
-        means = (self.d - k) * m0 + k * m1
-        return float(w @ ((self.d - k) * v0 + k * v1 + (means - w @ means) ** 2))
+        means = [(self.d - k) * m0 + k * m1 for k, _ in pairs]
+        mean = sum(w * m for (_, w), m in zip(pairs, means))
+        return sum(w * ((self.d - k) * v0 + k * v1 + (m - mean) ** 2)
+                   for (k, w), m in zip(pairs, means))
 
     def mix(self, sum_pmf):
         """Mixed-Erlang, lattice or grid law of the sum under a sum pmf or extremal point."""
@@ -211,10 +236,11 @@ class ConditionalLaws:
         mixed = np.zeros(max(row.size for row in rows))
         for (_, w), row in zip(pairs, rows):
             mixed[: row.size] += w * row
+        exact = {"log_mgf": partial(self._log_mgf, pairs), "variance": self._variance(pairs)}
         if self.h is None:
             eta = mixed[: int(np.searchsorted(np.cumsum(mixed), 1.0 - _ETA_EPS)) + 1]
-            return MixedErlangDistribution(self.beta, self.d, eta, max(0.0, 1.0 - eta.sum()))
-        exact = {"log_mgf": partial(self._log_mgf, pairs), "variance": self._variance(pairs)}
+            return MixedErlangDistribution(self.beta, self.d, eta, max(0.0, 1.0 - eta.sum()),
+                                           **exact)
         if isinstance(self.margin, UniformMargin):
             return GridDistribution(self.h, _clean_pmf(mixed), **exact)
         return LatticeDistribution(_clean_pmf(mixed), **exact)

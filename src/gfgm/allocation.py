@@ -114,10 +114,15 @@ def cstd(j: int, driver, margins) -> float:
     """Euler standard-deviation contribution Cov(X_j, S)/Std(S) of risk j."""
     driver, table = _portfolio(driver, margins)
     cov = table.covariance(driver)
+    return float(cov[j - 1].sum()) / _std(cov)
+
+
+def _std(cov: np.ndarray) -> float:
+    """Std(S), the root of the covariance matrix's sum; refused where it is 0."""
     var_s = float(cov.sum())
     if var_s <= 0:
         raise ValueError("degenerate portfolio: Std(S) = 0")
-    return float(cov[j - 1].sum()) / np.sqrt(var_s)
+    return float(np.sqrt(var_s))
 
 
 @dataclass
@@ -154,7 +159,7 @@ def allocation_report(driver, margins, alpha: float) -> AllocationReport:
     atom = float(agg.probs[v])
     var_contrib = [float(alloc[j][v] / atom) if atom > 0 else float("nan") for j in range(driver.d)]
     cov = table.covariance(driver)
-    std_s = float(np.sqrt(cov.sum()))
+    std_s = _std(cov)
     cstd_values = [float(cov[j].sum()) / std_s for j in range(driver.d)]
     return AllocationReport(
         alpha=alpha,

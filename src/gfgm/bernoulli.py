@@ -40,8 +40,41 @@ def as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, str) and "e" in x.lower():
         raise ValueError(f"cannot read {x!r} as a rational: write num/den, not an exponent")
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"expected an exact rational (Fraction, int or 'num/den' string), got {x!r}")
+
+
+def json_value(value, kind, what: str, name: str):
+    """A value of a parsed JSON document, refused with a ValueError unless it is an
+    instance of ``kind`` (a boolean is never a number)."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {what}, got {type(value).__name__}")
+    return value
+
+
+def json_field(obj, key: str, kind, what: str):
+    """``obj[key]``, checked by ``json_value``; ``obj`` must be a JSON object."""
+    return json_value(json_value(obj, dict, "a JSON object", f"the holder of {key!r}")[key],
+                      kind, what, repr(key))
+
+
+def json_int(obj, key: str) -> int:
+    return int(json_field(obj, key, (int, str), "an integer"))
+
+
+_RATIONAL = (int, str), "an integer or a 'num/den' string"
+
+
+def json_rational(obj, key: str) -> Fraction:
+    return as_fraction(json_field(obj, key, *_RATIONAL))
+
+
+def json_rationals(obj, key: str) -> tuple[Fraction, ...]:
+    return tuple(as_fraction(json_value(v, *_RATIONAL, f"each entry of {key!r}"))
+                 for v in json_field(obj, key, list, "a list"))
 
 
 def format_fraction(x: RationalLike) -> str:
@@ -145,7 +178,7 @@ class BernoulliPmf:
     def from_json(cls, obj: dict) -> "BernoulliPmf":
         if obj.get("order", "revlex") != "revlex":
             raise ValueError(f"unsupported index order {obj.get('order')!r}")
-        return cls(int(obj["d"]), tuple(as_fraction(v) for v in obj["values"]))
+        return cls(json_int(obj, "d"), json_rationals(obj, "values"))
 
 
 def _as_values(f: Union[BernoulliPmf, Sequence[RationalLike]]) -> tuple[int, tuple[Fraction, ...]]:

@@ -32,10 +32,10 @@ import numpy as np
 
 from .aggregation import ConditionalLaws, SplitTable, aggregate, aggregate_discrete_general
 from .bernoulli import as_fraction, format_fraction, margin_vector
-from .copula import GfgmSpec, sample_x
+from .copula import SharedDraw
 from .distributions import EmpiricalDistribution
 from .drivers import DenseDriver
-from .margins import DiscreteMargin, Margin
+from .margins import DiscreteMargin, ExponentialMargin, Margin
 from .measures import Measure, evaluate, parse_measure
 from .sums import extremal_points, max_convex_point, min_convex_point
 from .vertices import enumerate_vertices
@@ -180,16 +180,25 @@ def bounds_general_p(
     """Bounds by exact vertex enumeration for heterogeneous margin parameters.
 
     Discrete margins aggregate exactly, all vertices of a block in one
-    ``aggregate_discrete_general`` call; continuous margins fall back to
-    seeded Monte Carlo per vertex (standard errors recorded in the
-    metadata).  Dimensions above the vertex cap are refused: use the
-    common-p path instead.
+    ``aggregate_discrete_general`` call.  Continuous margins fall back to
+    seeded Monte Carlo with ``mc_n`` draws per vertex, all from one
+    ``SharedDraw`` of the call's seed: the vertices share U0 and U1 and
+    differ only in their atoms (common random numbers), and each vertex's
+    values equal those of ``sample_x`` for that vertex with the call's seed.
+    Standard errors of the mean go to the metadata.  An entropic gamma at or
+    above an exponential margin's rate is refused.  Dimensions above the
+    vertex cap are refused: use the common-p path instead.
     """
     pv = margin_vector(p_vector)
     d = pv.d
     if len(margins) != d:
         raise ValueError(f"need {d} margins, got {len(margins)}")
     measures = _normalize_measures(measures)
+    for margin in margins:
+        if isinstance(margin, ExponentialMargin):  # S >= X_j, so its mgf diverges with X_j's
+            for m in measures:
+                if m.kind == "entropic":
+                    margin.check_mgf(m.param)
     vertices = enumerate_vertices(pv)
     labels = [sys.intern(f"v{i + 1}") for i in range(len(vertices))]  # shared across reports
     all_discrete = all(isinstance(m, DiscreteMargin) for m in margins)
@@ -204,10 +213,9 @@ def bounds_general_p(
             for dist in aggregate_discrete_general(margins, drivers, table=table):
                 rows.append([evaluate(dist, m) for m in measures])
     else:
-        for i, vertex in enumerate(vertices):
-            spec = GfgmSpec(pv.probs, DenseDriver(vertex))
-            draws = sample_x(spec, margins, mc_n, seed=seed + i)
-            dist = EmpiricalDistribution(draws.sum(axis=1))
+        draw = SharedDraw(pv.probs, margins, mc_n, seed)
+        for vertex in vertices:
+            dist = EmpiricalDistribution(draw.sums(DenseDriver(vertex)))
             mc_se.append(math.sqrt(dist.variance()) / math.sqrt(mc_n))
             rows.append([evaluate(dist, m) for m in measures])
     metadata = {

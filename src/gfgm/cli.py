@@ -18,7 +18,7 @@ import numpy as np
 
 from . import reference
 from .allocation import allocation_report
-from .bernoulli import as_fraction, format_fraction
+from .bernoulli import as_fraction, format_fraction, json_field, json_rational
 from .bounds import bounds_common_p, bounds_general_p, convex_bounds_fast
 from .copula import GfgmSpec, sample_u, sample_x
 from .distributions import EmpiricalDistribution
@@ -44,10 +44,7 @@ def _parse_p(text: str):
         raise ValueError("empty margin parameter")
     if not all(parts):
         raise ValueError(f"empty entry in margin parameter {text!r}")
-    try:
-        values = [as_fraction(s) for s in parts]
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in margin parameter {text!r}") from None
+    values = [as_fraction(s) for s in parts]
     return values[0] if len(values) == 1 else values
 
 
@@ -163,16 +160,23 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _margins(obj: dict, default=None) -> list:
+    """The margins a spec or portfolio document lists, or ``default`` if given and it lists none."""
+    if default is not None and "margins" not in obj:
+        return default
+    return [margin_from_json(m) for m in json_field(obj, "margins", list, "a list")]
+
+
 def _load_portfolio(path: str):
     """Margins and driver of a portfolio file; a scalar "p" stands for the convex minimum."""
     obj = _load_object(path)
-    margins = [margin_from_json(m) for m in obj["margins"]]
+    margins = _margins(obj)
     p = obj.get("p")
     driver = None
     if "driver" in obj:
         driver = driver_from_json(obj["driver"])
     elif p is not None and not isinstance(p, list):
-        driver = ExchangeableDriver(min_convex(len(margins), as_fraction(p)))
+        driver = ExchangeableDriver(min_convex(len(margins), json_rational(obj, "p")))
     return margins, driver
 
 
@@ -224,8 +228,7 @@ def cmd_sample(args) -> int:
     obj = _load_object(args.spec)
     spec = GfgmSpec.from_json(obj)
     if "margins" in obj:
-        margins = [margin_from_json(m) for m in obj["margins"]]
-        draws = sample_x(spec, margins, args.n, seed=args.seed)
+        draws = sample_x(spec, _margins(obj), args.n, seed=args.seed)
     else:
         draws = sample_u(spec, args.n, seed=args.seed)
     header = [f"x{j + 1}" for j in range(spec.d)]
@@ -238,7 +241,7 @@ def cmd_validate(args) -> int:
     """Monte Carlo cross-check of the analytic aggregation paths."""
     obj = _load_object(args.spec)
     spec = GfgmSpec.from_json(obj)
-    margins = [margin_from_json(m) for m in obj.get("margins", [{"type": "uniform"}] * spec.d)]
+    margins = _margins(obj, [UniformMargin()] * spec.d)
     n = args.n
     if n < 1000:
         raise ValueError("validation needs n >= 1000")

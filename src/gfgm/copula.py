@@ -23,8 +23,8 @@ import math
 
 import numpy as np
 
-from .bernoulli import nu_coefficients
-from .drivers import DenseDriver, Driver, as_driver
+from .bernoulli import margin_vector, nu_coefficients
+from .drivers import DenseDriver, Driver, ExchangeableDriver, as_driver, atom_cdf
 from .margins import Margin, v0_cdf, v0v1_cdf
 
 
@@ -45,8 +45,6 @@ class GfgmSpec:
     driver: Driver
 
     def __post_init__(self):
-        from .bernoulli import margin_vector
-
         pv = margin_vector(self.p)
         driver = as_driver(self.driver)
         if driver.d != pv.d:
@@ -99,10 +97,11 @@ class GfgmSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GfgmSpec":
-        from .bernoulli import as_fraction
+        from .bernoulli import json_field, json_rationals
         from .drivers import driver_from_json
 
-        return cls(tuple(as_fraction(q) for q in obj["p"]), driver_from_json(obj["driver"]))
+        return cls(json_rationals(obj, "p"), driver_from_json(json_field(obj, "driver", dict,
+                                                                        "an object")))
 
 
 def _check_cube(u: np.ndarray, d: int):
@@ -161,6 +160,23 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
+_ROW_BLOCK = 1 << 16  # rows per block of U1 and of the quantile transforms
+
+
+def _row_blocks(n: int):
+    for start in range(0, n, _ROW_BLOCK):
+        yield slice(start, min(start + _ROW_BLOCK, n))
+
+
+def _uniforms(rng: np.random.Generator, n: int, p):
+    """What follows the indicators in a sampler's stream: U0 as (n, d), returned raised
+    to 1 - p, and a generator that draws U1 as (n, d) in row blocks, the same numbers as
+    one draw, yielding each block with its rows."""
+    u0 = rng.random((n, len(p)))
+    u0 **= 1.0 - np.array([float(q) for q in p])
+    return u0, ((rows, rng.random((rows.stop - rows.start, len(p)))) for rows in _row_blocks(n))
+
+
 def sample_u(spec: GfgmSpec, n: int, seed: int = 0) -> np.ndarray:
     """n iid draws of the uniform vector U = U0^(1-p) * U1^I.
 
@@ -171,25 +187,82 @@ def sample_u(spec: GfgmSpec, n: int, seed: int = 0) -> np.ndarray:
         raise ValueError("need n >= 1")
     rng = _rng(seed)
     ind = spec.driver.sample_indicators(rng, n)
-    u0 = rng.random((n, spec.d))
-    u1 = rng.random((n, spec.d))
-    p = np.array([float(q) for q in spec.p])
-    np.copyto(u1, 1.0, where=ind != 1)  # U1^I, in place
-    u0 **= 1.0 - p
-    u0 *= u1
-    return u0
+    u, u1_blocks = _uniforms(rng, n, spec.p)
+    for rows, u1 in u1_blocks:
+        np.copyto(u1, 1.0, where=ind[rows] != 1)  # U1^I, in place
+        u[rows] *= u1
+    return u
+
+
+def _check_quantile_margins(margins: list[Margin], d: int) -> None:
+    if len(margins) != d:
+        raise ValueError(f"need {d} margins, got {len(margins)}")
+    for margin in margins:
+        if not hasattr(margin, "ppf"):
+            raise ValueError(f"margin {margin!r} does not expose a quantile function")
 
 
 def sample_x(spec: GfgmSpec, margins: list[Margin], n: int, seed: int = 0) -> np.ndarray:
     """Sample the coupled vector with the given margins (quantile transform)."""
-    if len(margins) != spec.d:
-        raise ValueError(f"need {spec.d} margins, got {len(margins)}")
-    for margin in margins:
-        if not hasattr(margin, "ppf"):
-            raise ValueError(f"margin {margin!r} does not expose a quantile function")
+    _check_quantile_margins(margins, spec.d)
     u = sample_u(spec, n, seed)
     cols = [np.asarray(margins[j].ppf(u[:, j]), dtype=float) for j in range(spec.d)]
     return np.column_stack(cols)
+
+
+class SharedDraw:
+    """One draw of the coupled vector for every dense or sparse driver with margins p.
+
+    U0 and U1 do not depend on the driver, and the uniforms V that pick a driver's atom
+    come first in the stream, whatever the atoms.  So one draw holds V, sorted, and the
+    columns ``x0_j = F_j^-1(U0_j^(1-p_j))`` and ``x1_j = F_j^-1(U0_j^(1-p_j) U1_j)`` with
+    their rows in V order, and each atom of a driver owns one contiguous slice of rows.
+    ``sums(driver)`` is then ``sample_x(GfgmSpec(p, driver), margins, n, seed).sum(axis=1)``
+    up to the order of its rows, bit for bit: common random numbers across drivers.
+    The draw holds 2 d + 1 floats a row; U0 and U1 are freed once the columns exist.
+    """
+
+    def __init__(self, p, margins: list[Margin], n: int, seed: int = 0):
+        self.p = margin_vector(p).probs
+        d = len(self.p)
+        _check_quantile_margins(margins, d)
+        if n < 2:
+            raise ValueError("need n >= 2 draws")
+        self.n = n
+        rng = _rng(seed)
+        v = rng.random(n)  # the uniforms that pick the atom, as in ``Driver.sample_indicators``
+        order = np.argsort(v)
+        self._v = v[order]
+        del v
+        u, u1_blocks = _uniforms(rng, n, self.p)
+        self._x = np.empty((2, d, n))  # _x[bit, j] is column j given I_j = bit
+        self._quantiles(0, u, order, margins)
+        for rows, u1 in u1_blocks:
+            u[rows] *= u1
+        self._quantiles(1, u, order, margins)
+
+    def _quantiles(self, bit: int, u: np.ndarray, order: np.ndarray, margins) -> None:
+        for rows in _row_blocks(self.n):
+            block = u[order[rows]]  # strided columns, as ``sample_x`` passes them
+            for j, margin in enumerate(margins):
+                self._x[bit, j, rows] = margin.ppf(block[:, j])
+
+    def sums(self, driver) -> np.ndarray:
+        """Row sums of the draw under the driver: its atoms' slices, summed column by
+        column in the order of ``sum(axis=1)`` (left to right below 8 columns)."""
+        if isinstance(driver, ExchangeableDriver):  # its stream draws positions after V
+            raise ValueError("a shared draw serves dense and sparse drivers only")
+        if driver.margins() != self.p:
+            raise ValueError("driver margins do not match the parameter vector p")
+        atoms = driver.atoms()
+        cuts = self._v.searchsorted(atom_cdf([float(w) for _, w in atoms]), side="left")
+        out = np.empty(self.n)
+        for (mask, _), start, stop in zip(atoms, np.concatenate([[0], cuts[:-1]]), cuts):
+            rows = slice(start, stop)
+            out[rows] = self._x[mask & 1, 0, rows]
+            for j in range(1, self._x.shape[1]):
+                out[rows] += self._x[(mask >> j) & 1, j, rows]
+        return out
 
 
 def spearman_rho(spec: GfgmSpec, j1: int, j2: int) -> float:

@@ -134,12 +134,16 @@ class MixedErlangDistribution:
     """Mixture over k of Erlang(shape_offset + k, beta), weights eta_k.
 
     The recorded ``tail_mass`` is the weight dropped at truncation; quantiles
-    computed from the truncated weights bracket the true ones accordingly.
+    computed from the truncated weights bracket the true ones accordingly.  An
+    exact ``log_mgf(gamma)`` and ``variance``, if given, win over the truncated
+    weights, as for ``LatticeDistribution``; quantiles always start from the
+    weights' own moments.
     """
 
     kind = "mixed-erlang"
 
-    def __init__(self, beta: float, shape_offset: int, eta, tail_mass: float = 0.0):
+    def __init__(self, beta: float, shape_offset: int, eta, tail_mass: float = 0.0,
+                 log_mgf=None, variance=None):
         if beta <= 0:
             raise ValueError("rate must be positive")
         eta = np.asarray(eta, dtype=float)
@@ -155,13 +159,19 @@ class MixedErlangDistribution:
         self.tail_mass = float(tail_mass)
         self._log_gamma = special.gammaln(self.shapes)
         self._quantiles: dict[tuple[float, float], float] = {}
+        self._exact_log_mgf, self._exact_variance = log_mgf, variance
 
     def mean(self) -> float:
         return float(np.dot(self.eta, self.shapes)) / self.beta
 
-    def variance(self) -> float:
+    def _weights_variance(self) -> float:
         second = float(np.dot(self.eta, self.shapes * (self.shapes + 1.0))) / self.beta**2
         return second - self.mean() ** 2
+
+    def variance(self) -> float:
+        if self._exact_variance is not None:
+            return self._exact_variance
+        return self._weights_variance()
 
     def cdf(self, x) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)
@@ -197,7 +207,7 @@ class MixedErlangDistribution:
         key = (level, tol)
         if key in self._quantiles:
             return self._quantiles[key]
-        mean, sd = self.mean(), math.sqrt(max(self.variance(), 0.0))
+        mean, sd = self.mean(), math.sqrt(max(self._weights_variance(), 0.0))
         lo, hi, x = 0.0, math.inf, max(mean + sd * float(special.ndtri(level)), 0.5 * mean)
         for steps in itertools.count(1):
             cdf, pdf, slope = self._cdf_pdf(x)
@@ -225,6 +235,8 @@ class MixedErlangDistribution:
         return float(np.dot(self.eta, (self.shapes / self.beta) * surv_next - t * surv))
 
     def log_mgf(self, gamma: float) -> float:
+        if self._exact_log_mgf is not None:
+            return self._exact_log_mgf(gamma)
         if gamma >= self.beta:
             raise ValueError(f"mgf diverges: gamma={gamma} at or above the mixture rate {self.beta}")
         return log_sum_exp(np.log(self.eta) + self.shapes * np.log(self.beta / (self.beta - gamma)))

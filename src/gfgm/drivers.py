@@ -29,7 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bernoulli import BernoulliPmf, as_fraction, format_fraction
+from .bernoulli import (BernoulliPmf, as_fraction, format_fraction, json_field, json_int,
+                        json_rational)
 from .sums import SumPmf, _check_dp, atom_margins, atom_sum_pmf
 
 _ATOM_EXPANSION_CAP = 20
@@ -174,9 +175,7 @@ class ExchangeableDriver:
         return np.tensordot(weights, coeffs, axes=1)
 
     def sample_indicators(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        g = np.asarray(self.sum_dist.as_floats())
-        g = g / g.sum()
-        ks = rng.choice(self.d + 1, size=n, p=g)
+        ks = atom_cdf(self.sum_dist.as_floats()).searchsorted(rng.random(n), side="right")
         # Uniformly random positions for the ones: rank the rows of a uniform draw.
         order = np.argsort(rng.random((n, self.d)), axis=1)
         flags = np.arange(self.d)[None, :] < ks[:, None]
@@ -290,13 +289,19 @@ class DriverStack:
         return out[self._inverse]
 
 
+def atom_cdf(weights) -> np.ndarray:
+    """The cdf over atoms that the samplers pick from: ``w / w.sum()``, its cumulative sum,
+    divided by the last entry, as ``Generator.choice`` builds it.  A uniform V picks atom k
+    when ``cdf[k-1] <= V < cdf[k]``, which is ``cdf.searchsorted(V, side="right")``."""
+    weights = np.asarray(weights, dtype=float)
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    return cdf
+
+
 def _sample_from_atoms(atoms, d: int, rng: np.random.Generator, n: int) -> np.ndarray:
-    masks = [m for m, _ in atoms]
-    weights = np.asarray([float(w) for _, w in atoms])
-    weights = weights / weights.sum()
-    bits = np.array([[(m >> j) & 1 for j in range(d)] for m in masks], dtype=np.uint8)
-    idx = rng.choice(len(masks), size=n, p=weights)
-    return bits[idx]
+    cdf = atom_cdf([float(w) for _, w in atoms])
+    return _mask_bits([m for m, _ in atoms], d)[cdf.searchsorted(rng.random(n), side="right")]
 
 
 def as_driver(obj) -> Driver:
@@ -311,19 +316,19 @@ def as_driver(obj) -> Driver:
 
 
 def driver_from_json(obj: dict) -> Driver:
-    kind = obj.get("type")
+    kind = json_field(obj, "type", str, "a string")
     if kind == "dense":
         return DenseDriver(BernoulliPmf.from_json(obj))
     if kind == "atoms":
-        d = int(obj["d"])
+        d = json_int(obj, "d")
         atoms = []
-        for item in obj["atoms"]:
-            bits = item["x"]
+        for item in json_field(obj, "atoms", list, "a list"):
+            bits = json_field(item, "x", str, "a bit string")
             if len(bits) != d or set(bits) - {"0", "1"}:
                 raise ValueError(f"bad atom bit string {bits!r}")
             mask = sum(1 << j for j, ch in enumerate(bits) if ch == "1")
-            atoms.append((mask, as_fraction(item["w"])))
+            atoms.append((mask, json_rational(item, "w")))
         return AtomDriver(d, tuple(atoms))
     if kind == "exchangeable":
-        return ExchangeableDriver(SumPmf.from_json(obj["sum"]))
+        return ExchangeableDriver(SumPmf.from_json(json_field(obj, "sum", dict, "an object")))
     raise ValueError(f"unknown driver type {kind!r}")

@@ -26,6 +26,7 @@ import numpy as np
 from scipy import integrate
 
 from . import measures
+from .bernoulli import json_field, json_int, json_value
 from .distributions import LatticeDistribution
 
 
@@ -117,6 +118,13 @@ class ExponentialMargin:
     def var(self) -> float:
         return 1.0 / self.rate**2
 
+    def check_mgf(self, gamma: float) -> None:
+        """Refuse gamma >= rate: E e^{gamma X} is infinite, and so is E e^{gamma S} for
+        every sum S >= X."""
+        if gamma >= self.rate:
+            raise ValueError(f"entropic gamma={gamma:g} is at or above the exponential rate "
+                             f"{self.rate:g}: E[exp(gamma S)] is infinite")
+
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         return np.where(x < 0, 0.0, 1.0 - np.exp(-self.rate * x))
@@ -186,6 +194,8 @@ class DiscreteMargin:
         pmf = np.asarray(pmf, dtype=float)
         if pmf.ndim != 1 or pmf.size < 1:
             raise ValueError("pmf must be a nonempty vector")
+        if not np.isfinite(pmf).all():
+            raise ValueError("pmf entries must be finite")
         if pmf.min() < -1e-12:
             raise ValueError(f"pmf entries must be nonnegative, min={pmf.min()}")
         total = pmf.sum()
@@ -317,15 +327,23 @@ class QuantileMargin:
 Margin = ExponentialMargin | UniformMargin | DiscreteMargin | QuantileMargin
 
 
+_NUMBER = (int, float, str), "a number"
+
+
 def margin_from_json(obj: dict) -> Margin:
-    kind = obj.get("type")
+    def number(holder, key):
+        return float(json_field(holder, key, *_NUMBER))
+
+    kind = json_field(obj, "type", str, "a string")
     if kind == "exp":
-        return ExponentialMargin(float(obj["rate"]))
+        return ExponentialMargin(number(obj, "rate"))
     if kind == "uniform":
         return UniformMargin()
     if kind == "discrete":
         if "pmf" in obj:
-            return DiscreteMargin(np.asarray(obj["pmf"], dtype=float))
-        power = obj["power"]
-        return DiscreteMargin.from_power_cdf(float(power["a"]), float(power["c"]), int(power["n"]))
+            return DiscreteMargin([float(json_value(q, *_NUMBER, "each entry of 'pmf'"))
+                                   for q in json_field(obj, "pmf", list, "a list")])
+        power = json_field(obj, "power", dict, "an object")
+        return DiscreteMargin.from_power_cdf(number(power, "a"), number(power, "c"),
+                                             json_int(power, "n"))
     raise ValueError(f"unknown margin type {kind!r}")

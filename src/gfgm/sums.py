@@ -59,7 +59,9 @@ class SumPmf:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SumPmf":
-        return cls(int(obj["d"]), tuple(Fraction(v) for v in obj["values"]))
+        from .bernoulli import json_int, json_rationals
+
+        return cls(json_int(obj, "d"), json_rationals(obj, "values"))
 
     @classmethod
     def two_point(cls, d: int, k1: int, k2: int, w1: Fraction) -> "SumPmf":

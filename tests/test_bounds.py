@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from gfgm import (
     frechet_var_bounds,
     var_bounds_common_p,
 )
+from gfgm.distributions import EmpiricalDistribution
 from gfgm.reference import EXAMPLE_FINAL_VERTICES, example_final_margins
 
 FGM_H = 5 / 2.0**15
@@ -205,18 +207,95 @@ class TestGeneralP:
         with pytest.raises(ValueError, match="table"):
             aggregate_discrete_general(example_final_margins(), drivers)
 
-    def test_monte_carlo_values_pinned(self):
-        # Exact values of the seeded MC path; any change to sampling or estimators shows here.
-        report = bounds_general_p([ExponentialMargin(1.0), ExponentialMargin(2.0)], ["1/2", "1/3"],
-                                  ["var:0.9", "es:0.9", "entropic:0.01", "std"], mc_n=20000, seed=4)
-        assert report.values == {
+    def test_per_vertex_seed_stream_pinned(self):
+        # The values the Monte Carlo path gave when vertex i drew its own sample_x stream
+        # from seed + i; they keep that stream pinned.
+        from gfgm import DenseDriver, GfgmSpec, enumerate_vertices, evaluate, sample_x
+
+        margins, p = [ExponentialMargin(1.0), ExponentialMargin(2.0)], ["1/2", "1/3"]
+        measures = ["var:0.9", "es:0.9", "entropic:0.01", "std"]
+        dists = [EmpiricalDistribution(sample_x(GfgmSpec(p, DenseDriver(v)), margins, 20000,
+                                                seed=4 + i).sum(axis=1))
+                 for i, v in enumerate(enumerate_vertices(p))]
+        assert {m: [evaluate(dist, m) for dist in dists] for m in measures} == {
             "var:0.9": [2.895611832563529, 3.0682641349136666],
             "es:0.9": [3.851709386586193, 4.097916969582624],
             "entropic:0.01": [1.5098460070959163, 1.5143264976506643],
             "std": [1.056471473087202, 1.1736868674408645],
         }
+        assert [dist.variance() ** 0.5 / 20000**0.5 for dist in dists] == [
+            0.007470381427501016, 0.008299219429570317]
+
+    def test_monte_carlo_values_pinned(self):
+        # Exact values of the seeded MC path, every vertex on the call's one draw;
+        # any change to sampling or estimators shows here.
+        report = bounds_general_p([ExponentialMargin(1.0), ExponentialMargin(2.0)], ["1/2", "1/3"],
+                                  ["var:0.9", "es:0.9", "entropic:0.01", "std"], mc_n=20000, seed=4)
+        assert report.values == {
+            "var:0.9": [2.895611832563529, 3.098935146798116],
+            "es:0.9": [3.851709386586193, 4.134668800540565],
+            "entropic:0.01": [1.5098460070959163, 1.5130907177962172],
+            "std": [1.056471473087202, 1.181003757139145],
+        }
         assert report.metadata["mean_standard_errors"] == [0.007470381427501016,
-                                                           0.008299219429570317]
+                                                           0.008350957652798799]
+
+    @pytest.mark.parametrize("mc_n", [1001, 2000])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_shared_draw_equals_per_vertex_sample_x(self, d, mc_n):
+        # Every vertex on the call's one draw gives, bit for bit, what sample_x gives for
+        # that vertex alone with the call's seed.
+        from gfgm import (DenseDriver, GfgmSpec, QuantileMargin, enumerate_vertices, evaluate,
+                          sample_x)
+
+        families = [lambda j: ExponentialMargin(0.5 + j), lambda j: UniformMargin(),
+                    lambda j: DiscreteMargin.from_power_cdf(0.3, 2.0, 10 + j),
+                    lambda j: QuantileMargin(lambda u: u**2 + u)]
+        margins = [families[(j + d) % 4](j) for j in range(d)]
+        p = [F(1, 2), F(1, 3), F(2, 3), F(1, 4)][:d]
+        measures = ["var:0.9", "es:0.95", "entropic:0.05", "std"]
+        report = bounds_general_p(margins, p, measures, mc_n=mc_n, seed=23)
+        assert report.metadata["exact"] is False
+        dists = [EmpiricalDistribution(
+            sample_x(GfgmSpec(p, DenseDriver(v)), margins, mc_n, 23).sum(axis=1))
+            for v in enumerate_vertices(p)]
+        assert report.values == {m: [evaluate(dist, m) for dist in dists] for m in measures}
+        assert report.metadata["mean_standard_errors"] == [
+            math.sqrt(dist.variance()) / math.sqrt(mc_n) for dist in dists]
+
+    def test_shared_draw_discrete_laws_match_split_table(self):
+        # Each vertex's sample from the one draw follows the vertex's exact law of S.
+        from gfgm import DenseDriver, enumerate_vertices
+        from gfgm.aggregation import SplitTable
+        from gfgm.copula import SharedDraw
+
+        margins = example_final_margins()
+        p = [F(1, 2), F(1, 3), F(2, 3)]
+        n = 2 * 10**5
+        draw, table = SharedDraw(p, margins, n, seed=31), SplitTable(margins, p)
+        for vertex in enumerate_vertices(p):
+            driver = DenseDriver(vertex)
+            sums, law = draw.sums(driver), table.law(driver)
+            sd = math.sqrt(law.variance())
+            assert abs(sums.mean() - law.mean()) < 4.5 * sd / math.sqrt(n)
+            for x in (law.quantile(0.5), law.quantile(0.9)):
+                q = float(law.cdf(x))
+                assert abs((sums <= x).mean() - q) < 4.5 * math.sqrt(q * (1 - q) / n)
+
+    def test_shared_draw_input_checks(self):
+        from gfgm import DenseDriver, comonotone_pmf
+        from gfgm.copula import SharedDraw
+
+        p = [F(1, 2), F(1, 3)]
+        with pytest.raises(ValueError, match="margins"):
+            SharedDraw(p, [UniformMargin()], 100)
+        with pytest.raises(ValueError, match="quantile function"):
+            SharedDraw(p, [UniformMargin(), object()], 100)
+        with pytest.raises(ValueError, match="n >= 2"):
+            bounds_general_p([UniformMargin()] * 2, p, ["std"], mc_n=1)
+        draw = SharedDraw(p, [UniformMargin()] * 2, 100)
+        with pytest.raises(ValueError, match="do not match"):
+            draw.sums(DenseDriver(comonotone_pmf([F(1, 2), F(1, 2)])))
 
     def test_continuous_margins_fall_back_to_mc(self):
         margins = [ExponentialMargin(1.0), ExponentialMargin(2.0)]
@@ -257,7 +336,7 @@ class TestBenchmarkPatchPoints:
         import gfgm.measures
 
         for name in ("extremal_points", "aggregate", "aggregate_discrete_general", "evaluate",
-                     "enumerate_vertices", "sample_x"):
+                     "enumerate_vertices"):
             assert callable(getattr(gfgm.bounds, name, None)), f"gfgm.bounds.{name}"
         for name in ("var", "es", "entropic", "std"):
             assert callable(getattr(gfgm.measures, name, None)), f"gfgm.measures.{name}"

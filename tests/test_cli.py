@@ -178,6 +178,27 @@ class TestBounds:
         assert report["metadata"]["path"] == "vertex-enumeration"
 
 
+    @pytest.mark.parametrize("grid", ["nan", "inf", "0", "1e10", "1e-311"])
+    def test_grid_step_outside_the_support_or_the_budget_is_usage_error(self, capsys, grid):
+        # 1e10 used to fail the row mean check and 1e-311 to overflow d / h, with tracebacks
+        assert_one_line_usage_error(*run(capsys, "bounds", "--margin", "uniform", "--d", "1",
+                                         "--p", "1/2", "--grid", grid, "--measures", "std"))
+
+    @pytest.mark.parametrize("doc", [
+        {"type": "exp", "rate": {}},
+        {"type": "discrete", "pmf": [float("nan"), 1.0]},
+        {"type": "discrete", "pmf": [{}, 1.0]},
+        {"type": "discrete", "power": {"a": 0.3, "c": 2.0, "n": [20]}},
+        ["exp"],
+        {"type": 1},
+    ])
+    def test_malformed_margin_file_is_usage_error(self, capsys, tmp_path, doc):
+        path = tmp_path / "margin.json"
+        path.write_text(json.dumps(doc))
+        assert_one_line_usage_error(*run(capsys, "bounds", "--margin", f"discrete:{path}",
+                                         "--d", "3", "--p", "1/2", "--measures", "std"))
+
+
 class TestAllocate:
     def test_csv_output(self, capsys, tmp_path):
         portfolio = {
@@ -212,6 +233,25 @@ class TestAllocate:
         assert len(rows) == 25
         es_s = float(err.split("ES_0.95(S) = ")[1].split()[0])
         assert sum(float(r[2]) for r in rows[1:]) == pytest.approx(es_s, rel=1e-8)
+
+
+    def test_degenerate_portfolio_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "portfolio.json"
+        path.write_text(json.dumps({"margins": [{"type": "discrete", "pmf": [0.0, 1.0]}] * 3,
+                                    "p": "1/3"}))
+        code, out, err = run(capsys, "allocate", "--portfolio", str(path))
+        assert_one_line_usage_error(code, out, err)
+        assert "Std(S) = 0" in err
+
+    @pytest.mark.parametrize("doc", [
+        {"margins": [{"type": "discrete", "pmf": [0.5, 0.5]}] * 3, "p": 0.5},
+        {"margins": None, "p": "1/3"},
+        {"margins": [{"type": "discrete", "pmf": [0.5, 0.5]}] * 3, "driver": [1]},
+    ])
+    def test_malformed_portfolio_file_is_usage_error(self, capsys, tmp_path, doc):
+        path = tmp_path / "portfolio.json"
+        path.write_text(json.dumps(doc))
+        assert_one_line_usage_error(*run(capsys, "allocate", "--portfolio", str(path)))
 
 
 class TestReproduce:
@@ -304,6 +344,19 @@ class TestSampleAndValidate:
         assert code == 3
         assert out == ""
         assert err.startswith("gfgm: error:") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("doc", [
+        {"p": "1/2", "driver": {"type": "dense", "d": 1, "values": ["1/2", "1/2"]}},
+        {"p": ["1/2"], "driver": []},
+        {"p": ["1/2"], "driver": {"type": "dense", "d": {}, "values": ["1/2", "1/2"]}},
+        {"p": ["1/2"], "driver": {"type": "dense", "d": 1, "values": [0.5, 0.5]}},
+        {"p": ["1/2"], "driver": {"type": "exchangeable", "sum": {"d": 1, "values": "01"}}},
+        {"p": ["1/2"], "driver": {"type": "atoms", "d": 1, "atoms": [{"x": "1", "w": None}]}},
+    ])
+    def test_malformed_spec_file_is_usage_error(self, capsys, tmp_path, doc):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert_one_line_usage_error(*run(capsys, "sample", "--spec", str(path), "--n", "5"))
 
     def test_validate_small_n_rejected(self, capsys, tmp_path):
         path = self.spec_file(tmp_path, with_margins=True)

@@ -21,6 +21,7 @@ from gfgm import (
     LatticeDistribution,
     UniformMargin,
     bounds_common_p,
+    bounds_general_p,
     convex_bounds_fast,
     evaluate,
 )
@@ -203,3 +204,62 @@ def test_discrete_entropic_in_closed_form_at_moderate_gamma():
     fast = convex_bounds_fast(margin, d, p, [label])
     assert fast.minima[label][0] == pytest.approx(closed(lo), rel=1e-12)
     assert fast.maxima[label][0] == pytest.approx(closed(hi), rel=1e-12)
+
+
+def gamma_log_mgf(shape: int, rate: float, gamma: float) -> float:
+    """log E e^{gamma G}, G ~ Gamma(shape, rate), by quadrature of the density in log space."""
+    if shape == 0:
+        return 0.0
+    mode = (shape - 1) / (rate - gamma)  # peak of e^{gamma x} times the density
+
+    def log_f(x):
+        return gamma * x + stats.gamma.logpdf(x, shape, scale=1.0 / rate)
+
+    top = log_f(mode) if shape > 1 else math.log(rate)
+    body = sum(integrate.quad(lambda x: math.exp(log_f(x) - top), a, b, epsabs=0.0,
+                              epsrel=1e-13, limit=500)[0] for a, b in ((0.0, mode), (mode, np.inf)))
+    return top + math.log(body)
+
+
+@pytest.mark.parametrize("ratio", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("p", P_VALUES)
+def test_exponential_entropic_and_std_in_closed_form(p, ratio):
+    # Given driver sum k the sum is Gamma(d, beta) + Gamma(k, rate): its entropic and
+    # std come in closed form, not from the truncated stage weights.
+    d, rate = 3, 0.5
+    beta, gamma = rate / (1 - float(p)), ratio * rate
+    laws = ConditionalLaws(ExponentialMargin(rate), d, p)
+    for pt in extremal_points(d, p):
+        pairs = [(pt.k1, float(pt.w1))] if pt.is_degenerate else [
+            (pt.k1, float(pt.w1)), (pt.k2, float(pt.w2))]
+        logs = [math.log(w) + gamma_log_mgf(d, beta, gamma) + gamma_log_mgf(k, rate, gamma)
+                for k, w in pairs]
+        top = max(logs)
+        want = (top + math.log(sum(math.exp(x - top) for x in logs))) / gamma
+        mean = sum(w * (d / beta + k / rate) for k, w in pairs)
+        var = sum(w * (d / beta**2 + k / rate**2 + (d / beta + k / rate - mean) ** 2)
+                  for k, w in pairs)
+        dist = laws.mix(pt)
+        assert evaluate(dist, f"entropic:{gamma!r}") == pytest.approx(want, rel=1e-12, abs=0)
+        assert evaluate(dist, "std") == pytest.approx(math.sqrt(var), rel=1e-12, abs=0)
+
+
+def test_exponential_entropic_at_tiny_gamma_is_the_mean():
+    # The truncated stage weights sum to 1 - tail_mass; dividing log(1 - tail_mass) by a
+    # tiny gamma gave -3e202.  The closed form gives E S.
+    report = bounds_common_p(ExponentialMargin(1.0), 3, F(1, 2), ["entropic:2.9e-215"])
+    for value in report.values["entropic:2.9e-215"]:
+        assert value == pytest.approx(3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("call", ["common", "fast", "general-mc"])
+def test_exponential_entropic_refused_at_or_above_the_rate(call):
+    measures = ["std", "entropic:0.5"]
+    margins = [ExponentialMargin(1.0), ExponentialMargin(0.5), ExponentialMargin(2.0)]
+    with pytest.raises(ValueError, match="rate 0.5"):
+        if call == "common":
+            bounds_common_p(margins[1], 3, F(1, 2), measures)
+        elif call == "fast":
+            convex_bounds_fast(margins[1], 3, F(1, 2), measures)
+        else:
+            bounds_general_p(margins, [F(1, 2), F(1, 3), F(2, 3)], measures, mc_n=100)

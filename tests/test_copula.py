@@ -183,6 +183,59 @@ class TestSampling:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, sample_u(spec, 1000, seed=124))
 
+    # The first rows and the total of sample_u(spec, 1000, seed=29), recorded when atoms
+    # were picked by Generator.choice: the explicit atom cdf must keep the stream.
+    STREAM_PINS = {
+        "dense": ([[0.6937150219754028, 0.9587041314785842, 0.7132448061224171],
+                   [0.48918170129649147, 0.7634328195871237, 0.40059320005802174],
+                   [0.939842867361337, 0.11517687140544251, 0.09937940296521236]],
+                  1520.7388378540738),
+        "atoms": ([[0.6937150219754028, 0.9688654055627901, 0.19921770600469238,
+                    0.38863771538263625],
+                   [0.5871720051935586, 0.5028740346589919, 0.179531494201202,
+                    0.19770787036831963],
+                   [0.14576370158176435, 0.3322299139585072, 0.710449390147175,
+                    0.44292916632380136]],
+                  2023.0595487669043),
+        "exchangeable": ([[0.4875154081184272, 0.35750184015514297, 0.40108814005800886,
+                           0.012850157910504768],
+                          [0.8025242194209903, 0.32585614672415336, 0.3316832934285932,
+                           0.9048210899577616],
+                          [0.5530988342274459, 0.10472323969225192, 0.8536035514213637,
+                           0.914619235240276]],
+                         1984.4659170592727),
+    }
+
+    @staticmethod
+    def stream_specs():
+        return {
+            "dense": r1_spec(),
+            "atoms": GfgmSpec(("1/2",) * 4, AtomDriver(4, ((0b0011, F(1, 4)), (0b1100, F(1, 4)),
+                                                           (0b0101, F(1, 4)), (0b1010, F(1, 4))))),
+            "exchangeable": GfgmSpec.common(F(1, 3), ExchangeableDriver(min_convex(4, F(1, 3)))),
+        }
+
+    @pytest.mark.parametrize("kind", ["dense", "atoms", "exchangeable"])
+    def test_stream_pinned(self, kind):
+        u = sample_u(self.stream_specs()[kind], 1000, seed=29)
+        rows, total = self.STREAM_PINS[kind]
+        assert u[:3].tolist() == rows
+        assert float(u.sum()) == total
+
+    def test_row_blocks_do_not_change_draws(self, monkeypatch):
+        import gfgm.copula as copula
+        from gfgm import enumerate_vertices
+
+        spec, p = r1_spec(), [F(1, 2), F(1, 3), F(2, 3)]
+        margins = [ExponentialMargin(0.5), UniformMargin(), DiscreteMargin.from_power_cdf(0.3, 2, 9)]
+        drivers = [DenseDriver(v) for v in enumerate_vertices(p)]
+        whole = sample_u(spec, 1000, seed=5)
+        sums = [copula.SharedDraw(p, margins, 1000, seed=5).sums(x) for x in drivers]
+        monkeypatch.setattr(copula, "_ROW_BLOCK", 7)
+        assert np.array_equal(sample_u(spec, 1000, seed=5), whole)
+        draw = copula.SharedDraw(p, margins, 1000, seed=5)
+        assert all(np.array_equal(draw.sums(x), s) for x, s in zip(drivers, sums))
+
     def test_uniform_margins_gof(self):
         spec = r1_spec()
         u = sample_u(spec, 10**5, seed=5)
