@@ -40,7 +40,8 @@ import numpy as np
 from scipy import stats
 from scipy.fft import next_fast_len
 
-from .distributions import GridDistribution, LatticeDistribution, MixedErlangDistribution
+from .distributions import (GridDistribution, LatticeDistribution, MixedErlangDistribution,
+                            log_sum_exp)
 from .drivers import DriverStack, as_driver
 from .margins import (
     DiscreteMargin,
@@ -214,12 +215,16 @@ class ConditionalLaws:
 
         With c the largest row term it is c + log1p(sum_k w_k expm1(row_k - c)), the
         weights normalized, so a tiny t keeps its tiny answer instead of the round-off of
-        the weights' sum."""
+        the weights' sum.  Where the rows lie far apart and the sum comes near -1, log1p
+        would see round-off, so it is log-sum-exp of log w_k + row_k instead."""
         l0, l1 = self._split_log_mgf(t)
         rows = [(self.d - k) * l0 + k * l1 for k, _ in pairs]
-        top = max(rows)
-        mixed = sum(w * math.expm1(row - top) for (_, w), row in zip(pairs, rows))
-        return top + math.log1p(mixed / sum(w for _, w in pairs))
+        top, total = max(rows), sum(w for _, w in pairs)
+        mixed = sum(w * math.expm1(row - top) for (_, w), row in zip(pairs, rows)) / total
+        if mixed > -0.5:
+            return top + math.log1p(mixed)
+        return log_sum_exp([math.log(w) + row for (_, w), row in zip(pairs, rows) if w > 0]
+                           ) - math.log(total)
 
     def _variance(self, pairs) -> float:
         """Variance in lattice steps, from the rows' means and variances."""

@@ -24,7 +24,8 @@ import math
 import numpy as np
 
 from .bernoulli import margin_vector, nu_coefficients
-from .drivers import DenseDriver, Driver, ExchangeableDriver, as_driver, atom_cdf
+from .drivers import (DenseDriver, Driver, ExchangeableDriver, as_driver, atom_cuts,
+                      atom_uniforms)
 from .margins import Margin, v0_cdf, v0v1_cdf
 
 
@@ -230,7 +231,7 @@ class SharedDraw:
             raise ValueError("need n >= 2 draws")
         self.n = n
         rng = _rng(seed)
-        v = rng.random(n)  # the uniforms that pick the atom, as in ``Driver.sample_indicators``
+        v = atom_uniforms(rng, n)
         order = np.argsort(v)
         self._v = v[order]
         del v
@@ -255,7 +256,7 @@ class SharedDraw:
         if driver.margins() != self.p:
             raise ValueError("driver margins do not match the parameter vector p")
         atoms = driver.atoms()
-        cuts = self._v.searchsorted(atom_cdf([float(w) for _, w in atoms]), side="left")
+        cuts = atom_cuts([float(w) for _, w in atoms], self._v)
         out = np.empty(self.n)
         for (mask, _), start, stop in zip(atoms, np.concatenate([[0], cuts[:-1]]), cuts):
             rows = slice(start, stop)

@@ -134,16 +134,16 @@ class MixedErlangDistribution:
     """Mixture over k of Erlang(shape_offset + k, beta), weights eta_k.
 
     The recorded ``tail_mass`` is the weight dropped at truncation; quantiles
-    computed from the truncated weights bracket the true ones accordingly.  An
-    exact ``log_mgf(gamma)`` and ``variance``, if given, win over the truncated
-    weights, as for ``LatticeDistribution``; quantiles always start from the
-    weights' own moments.
+    computed from the truncated weights bracket the true ones accordingly.  The
+    exact ``log_mgf(gamma)`` and ``variance`` are given by the caller, since the
+    truncated weights lose both a tiny gamma and the dropped tail; quantiles
+    start from the weights' own moments.
     """
 
     kind = "mixed-erlang"
 
-    def __init__(self, beta: float, shape_offset: int, eta, tail_mass: float = 0.0,
-                 log_mgf=None, variance=None):
+    def __init__(self, beta: float, shape_offset: int, eta, tail_mass: float = 0.0, *,
+                 log_mgf, variance: float):
         if beta <= 0:
             raise ValueError("rate must be positive")
         eta = np.asarray(eta, dtype=float)
@@ -169,9 +169,7 @@ class MixedErlangDistribution:
         return second - self.mean() ** 2
 
     def variance(self) -> float:
-        if self._exact_variance is not None:
-            return self._exact_variance
-        return self._weights_variance()
+        return self._exact_variance
 
     def cdf(self, x) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)
@@ -235,11 +233,7 @@ class MixedErlangDistribution:
         return float(np.dot(self.eta, (self.shapes / self.beta) * surv_next - t * surv))
 
     def log_mgf(self, gamma: float) -> float:
-        if self._exact_log_mgf is not None:
-            return self._exact_log_mgf(gamma)
-        if gamma >= self.beta:
-            raise ValueError(f"mgf diverges: gamma={gamma} at or above the mixture rate {self.beta}")
-        return log_sum_exp(np.log(self.eta) + self.shapes * np.log(self.beta / (self.beta - gamma)))
+        return self._exact_log_mgf(gamma)
 
 
 class EmpiricalDistribution:

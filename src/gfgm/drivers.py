@@ -175,7 +175,7 @@ class ExchangeableDriver:
         return np.tensordot(weights, coeffs, axes=1)
 
     def sample_indicators(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        ks = atom_cdf(self.sum_dist.as_floats()).searchsorted(rng.random(n), side="right")
+        ks = pick_atoms(self.sum_dist.as_floats(), atom_uniforms(rng, n))
         # Uniformly random positions for the ones: rank the rows of a uniform draw.
         order = np.argsort(rng.random((n, self.d)), axis=1)
         flags = np.arange(self.d)[None, :] < ks[:, None]
@@ -289,19 +289,34 @@ class DriverStack:
         return out[self._inverse]
 
 
-def atom_cdf(weights) -> np.ndarray:
-    """The cdf over atoms that the samplers pick from: ``w / w.sum()``, its cumulative sum,
-    divided by the last entry, as ``Generator.choice`` builds it.  A uniform V picks atom k
-    when ``cdf[k-1] <= V < cdf[k]``, which is ``cdf.searchsorted(V, side="right")``."""
+def _atom_cdf(weights) -> np.ndarray:
+    """``w / w.sum()``, its cumulative sum, divided by the last entry, as
+    ``Generator.choice`` builds it."""
     weights = np.asarray(weights, dtype=float)
     cdf = np.cumsum(weights / weights.sum())
     cdf /= cdf[-1]
     return cdf
 
 
+def atom_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The n uniforms V that open a sampler's stream and pick each row's atom."""
+    return rng.random(n)
+
+
+def pick_atoms(weights, v: np.ndarray) -> np.ndarray:
+    """The atom each uniform picks: atom k when ``cdf[k-1] <= V < cdf[k]``."""
+    return _atom_cdf(weights).searchsorted(v, side="right")
+
+
+def atom_cuts(weights, sorted_v: np.ndarray) -> np.ndarray:
+    """Where each atom's rows end in sorted uniforms: ``pick_atoms`` gives atom k to the
+    rows ``cuts[k-1]:cuts[k]``, since ``cdf[k-1] <= V < cdf[k]`` is a contiguous run."""
+    return sorted_v.searchsorted(_atom_cdf(weights), side="left")
+
+
 def _sample_from_atoms(atoms, d: int, rng: np.random.Generator, n: int) -> np.ndarray:
-    cdf = atom_cdf([float(w) for _, w in atoms])
-    return _mask_bits([m for m, _ in atoms], d)[cdf.searchsorted(rng.random(n), side="right")]
+    picks = pick_atoms([float(w) for _, w in atoms], atom_uniforms(rng, n))
+    return _mask_bits([m for m, _ in atoms], d)[picks]
 
 
 def as_driver(obj) -> Driver:

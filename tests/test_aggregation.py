@@ -81,6 +81,15 @@ class TestDiscreteCommon:
             oracle = np.convolve(oracle, margin.pmf)
         assert np.max(np.abs(dist.probs - oracle)) < 1e-12
 
+    def test_log_mgf_rows_far_apart(self):
+        # Independence again: log E e^{gS} = d log E e^{gX}.  At p = 1/2 the split laws are
+        # 0 and {1, 2}, so the rows lie k g apart or more, and the top row's weight is 2^-100.
+        margin = DiscreteMargin([0.5, 0.25, 0.25])
+        dist = aggregate(margin, 100, binomial_sum_pmf(100, F(1, 2)), F(1, 2))
+        for gamma in (1.0, 3.0, 10.0):
+            oracle = 100 * math.log(0.5 + 0.25 * math.exp(gamma) + 0.25 * math.exp(2 * gamma))
+            assert dist.log_mgf(gamma) == pytest.approx(oracle, rel=1e-13)
+
     def test_d100_min_convex_quantile(self):
         # the convex-order minimum at p=2/3 does not attain the class minimum
         margin = d100_discrete_margin()
@@ -228,8 +237,16 @@ class TestExponential:
         dist = aggregate(ExponentialMargin(0.1), 100, SumPmf.degenerate(100, 50), F(1, 2))
         gamma = 0.001
         closed = 100 * math.log(0.2 / (0.2 - gamma)) + 50 * math.log(0.1 / (0.1 - gamma))
-        # the 1e-12 weight truncation shows up at the same order here
-        assert dist.log_mgf(gamma) == pytest.approx(closed, rel=1e-9)
+        # the split log-mgfs are closed-form, so the weight truncation does not show
+        assert dist.log_mgf(gamma) == pytest.approx(closed, rel=1e-13)
+
+    def test_log_mgf_rows_far_apart(self):
+        # Under the binomial(d, p) sum pmf the coordinates are independent, so
+        # log E e^{gS} = d log E e^{gX} = d log(rate / (rate - g)).  The top row carries
+        # weight 2^-100 and the mixture is 1e-26 of it, far from the largest row.
+        dist = aggregate(ExponentialMargin(1.0), 100, binomial_sum_pmf(100, F(1, 2)), F(1, 2))
+        for gamma in (0.5, 0.9, 0.99):
+            assert dist.log_mgf(gamma) == pytest.approx(-100 * math.log1p(-gamma), rel=1e-13)
 
     def test_mgf_domain_error(self):
         dist = aggregate(ExponentialMargin(0.1), 5, SumPmf.degenerate(5, 0), F(1, 2))

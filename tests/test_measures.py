@@ -29,6 +29,12 @@ def lattice(values):
     return LatticeDistribution(np.asarray(values, dtype=float))
 
 
+def exponential(rate):
+    """Exp(rate) as a one-component mixed-Erlang law, with its exact log-mgf and variance."""
+    return MixedErlangDistribution(rate, 1, np.array([1.0]),
+                                   log_mgf=lambda g: -math.log1p(-g / rate), variance=rate**-2)
+
+
 def rd(index):
     return extremal_points(5, F(1, 2))[index - 1].pmf
 
@@ -43,7 +49,7 @@ class TestVar:
             assert var(point, alpha) == 3.0
 
     def test_exponential_closed_form(self):
-        dist = MixedErlangDistribution(0.1, 1, np.array([1.0]))
+        dist = exponential(0.1)
         assert var(dist, 0.95) == pytest.approx(10 * math.log(20), abs=1e-8)
 
     def test_level_validated(self):
@@ -59,7 +65,7 @@ class TestEs:
         assert es(lattice([0, 1]), 0.3) == pytest.approx(1.0)
 
     def test_exponential_closed_form(self):
-        dist = MixedErlangDistribution(0.1, 1, np.array([1.0]))
+        dist = exponential(0.1)
         assert es(dist, 0.95) == pytest.approx(10 * (1 + math.log(20)), abs=1e-6)
 
     def test_integral_representation_agreement(self):
