@@ -12,7 +12,9 @@ driver-sum pmf g the sum's law is the mixture sum_k g(k) L_k.
 * exponential margins: L_k is a mixed Erlang law; each exponential factor
   below the base rate expands as a geometric compound, giving
   negative-binomial stage weights (numerically stable at high dimension,
-  unlike partial fractions with alternating signs).
+  unlike partial fractions with alternating signs).  ``_stage_weights``
+  builds them by a ratio recurrence, cut where ``scipy.special.nbdtrik``
+  leaves 1e-15 of the mass; a row over 2^20 stages (p near 1) is refused.
 
 The split components Z0 and Z1 (or their grid lumps) are held as
 ``LatticeDistribution`` objects in lattice steps, and the mixed law of S is
@@ -37,7 +39,7 @@ import math
 from functools import cached_property, partial
 
 import numpy as np
-from scipy import stats
+from scipy import special
 from scipy.fft import next_fast_len
 
 from .distributions import (GridDistribution, LatticeDistribution, MixedErlangDistribution,
@@ -56,6 +58,7 @@ from .sums import ExtremalSumPoint, SumPmf
 _ETA_EPS = 1e-12
 _GRID_ROW_NODES = 1 << 22
 _GRID_TABLE_NODES = 1 << 24
+_STAGE_ROW_NODES = 1 << 20
 
 
 def _clean_pmf(pmf: np.ndarray) -> np.ndarray:
@@ -96,6 +99,19 @@ def _discretize_unit_density(stop_loss_fn, p, h: float) -> np.ndarray:
     pmf[0] = 1.0 - (ell[0] - ell[1]) / h
     pmf[1:] = (ell[:-2] - 2.0 * ell[1:-1] + ell[2:]) / h
     return np.clip(pmf, 0.0, None)
+
+
+def _stage_weights(k: int, p: float, m_max: int) -> np.ndarray:
+    """Weights P(M = m), m = 0..m_max, of M ~ NB(k, 1-p), normalized over that range:
+    cumulative products of the ratios p (k+m)/(m+1) out of the mode, which cannot
+    overflow and lose about 2e-13 relative at 3e5 stages (betaln loses 2e-9)."""
+    mode = int((k - 1) * p / (1.0 - p))
+    m = np.arange(m_max + 1.0)
+    w = np.empty(m_max + 1)
+    w[mode] = 1.0
+    w[mode + 1:] = np.cumprod(p * (k + m[mode:-1]) / (m[mode:-1] + 1.0))
+    w[:mode] = np.cumprod(((m[:mode] + 1.0) / (p * (k + m[:mode])))[::-1])[::-1]
+    return w / w.sum()
 
 
 class ConditionalLaws:
@@ -171,10 +187,14 @@ class ConditionalLaws:
             return self._rows[k]
         if self.h is None:  # stage weights beyond d: k + NB(k, 1-p) stages
             row = np.ones(1)
-            if k:
-                m_max = int(stats.nbinom.ppf(1.0 - _ETA_EPS * 1e-3, k, 1.0 - self.p)) + 10
-                row = np.zeros(k + m_max + 1)
-                row[k:] = stats.nbinom.pmf(np.arange(m_max + 1), k, 1.0 - self.p)
+            if k:  # nbdtrik solves F(m) = 1 - 1e-15 to a tolerance; ten more stages cover it
+                m_max = np.ceil(special.nbdtrik(1.0 - _ETA_EPS * 1e-3, k, 1.0 - self.p)) + 10.0
+                if not k + m_max + 1 <= _STAGE_ROW_NODES:  # also a nan
+                    raise ValueError(f"exponential margins at d={self.d}, p={self.p} need "
+                                     f"{k + m_max + 1:.4g} Erlang stages at driver sum {k}, "
+                                     f"over the budget of {_STAGE_ROW_NODES}; p is too near 1")
+                row = np.zeros(k + int(m_max) + 1)
+                row[k:] = _stage_weights(k, self.p, int(m_max))
             mean = (self.d + np.dot(np.arange(row.size), row) / row.sum()) / self.beta
         else:
             n_rows = len(self._rows) + 1

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -68,6 +69,7 @@ class LatticeDistribution:
         self.probs, self._cdf = probs, cdf
         self._exact_log_mgf = log_mgf
         self._exact_variance = variance
+        self._quantiles: dict[float, float] = {}
 
     @staticmethod
     def stack(probs, log_mgfs, variances) -> list["LatticeDistribution"]:
@@ -80,9 +82,9 @@ class LatticeDistribution:
             out.append(dist)
         return out
 
-    @property
+    @cached_property
     def support(self) -> np.ndarray:
-        """Lattice points 0, 1, 2, ... in lattice steps, built on demand."""
+        """Lattice points 0, 1, 2, ... in lattice steps, built on first use."""
         return np.arange(self.probs.size, dtype=float)
 
     @classmethod
@@ -104,8 +106,11 @@ class LatticeDistribution:
         padded = np.concatenate([[0.0], self._cdf])
         return padded[idx + 1]
 
-    def quantile(self, level: float) -> float:
-        return self.h * float(np.searchsorted(self._cdf, level - _CDF_SLACK, side="left"))
+    def quantile(self, level: float) -> float:  # kept per level, so ES reuses the VaR
+        if level not in self._quantiles:
+            self._quantiles[level] = self.h * float(
+                np.searchsorted(self._cdf, level - _CDF_SLACK, side="left"))
+        return self._quantiles[level]
 
     def stop_loss(self, t: float) -> float:
         return self.h * float(np.dot(np.clip(self.support - t / self.h, 0.0, None), self.probs))

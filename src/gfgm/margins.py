@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from . import measures
 from .bernoulli import json_field, json_int, json_value
@@ -279,6 +278,14 @@ class DiscreteMargin:
         return f"discrete:n={self.n}"
 
 
+def _quad(f) -> float:
+    """Integral of f over [0, 1] by adaptive quadrature; scipy.integrate, which adds
+    about 0.3 s to an import, loads on the first call."""
+    from scipy import integrate
+
+    return integrate.quad(f, 0.0, 1.0, epsabs=1e-10)[0]
+
+
 class QuantileMargin:
     """Generic margin defined by a quantile function; moments by quadrature."""
 
@@ -295,30 +302,21 @@ class QuantileMargin:
     @property
     def mean(self) -> float:
         if self._mean is None:
-            val, _ = integrate.quad(lambda u: float(self._ppf(u)), 0.0, 1.0, epsabs=1e-10)
-            object.__setattr__(self, "_mean", val)
+            object.__setattr__(self, "_mean", _quad(lambda u: float(self._ppf(u))))
         return self._mean
 
     @property
     def var(self) -> float:
         if self._var is None:
             m = self.mean
-            val, _ = integrate.quad(
-                lambda u: (float(self._ppf(u)) - m) ** 2, 0.0, 1.0, epsabs=1e-10
-            )
-            object.__setattr__(self, "_var", val)
+            object.__setattr__(self, "_var", _quad(lambda u: (float(self._ppf(u)) - m) ** 2))
         return self._var
 
     def z_means(self, p) -> tuple[float, float]:
         """Expectations of the split components by adaptive quadrature."""
         pf = _p_float(p)
-        e0, _ = integrate.quad(
-            lambda u: float(self._ppf(u)) * float(v0_pdf(u, pf)), 0.0, 1.0, epsabs=1e-10
-        )
-        e1, _ = integrate.quad(
-            lambda u: float(self._ppf(u)) * float(v0v1_pdf(u, pf)), 0.0, 1.0, epsabs=1e-10
-        )
-        return e0, e1
+        return (_quad(lambda u: float(self._ppf(u)) * float(v0_pdf(u, pf))),
+                _quad(lambda u: float(self._ppf(u)) * float(v0v1_pdf(u, pf))))
 
     def describe(self) -> str:
         return "quantile"

@@ -158,6 +158,15 @@ class TestBounds:
         assert_one_line_usage_error(code, out, err)
         assert "out of range" in err
 
+    @pytest.mark.parametrize("rate", ["1e10", "1e-150"])
+    def test_exponential_p_near_one_is_refused_at_the_stage_budget(self, rate):
+        # these built 4.4e7-stage rows and ran past a 60-s timeout, hence the child process
+        code, out, err = run_process("bounds", "--margin", f"exp:{rate}", "--d", "4",
+                                     "--p", "999999/1000000",
+                                     "--measures", "std,es:0.9,entropic:0.01,var:0.9")
+        assert_one_line_usage_error(code, out, err)
+        assert "d=4, p=0.999999 need 4.418e+07 Erlang stages" in err
+
     def test_format_is_not_a_bounds_option(self, capsys):
         code, out, err = run(capsys, "bounds", "--margin", "exp:0.1", "--d", "4", "--p", "1/2",
                              "--alpha", "0.9", "--fast", "--format", "csv")

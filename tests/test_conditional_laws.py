@@ -263,3 +263,61 @@ def test_exponential_entropic_refused_at_or_above_the_rate(call):
             convex_bounds_fast(margins[1], 3, F(1, 2), measures)
         else:
             bounds_general_p(margins, [F(1, 2), F(1, 3), F(2, 3)], measures, mc_n=100)
+
+
+class StatsRows(ConditionalLaws):
+    """Exponential rows from ``scipy.stats.nbinom``, cut at its 1 - 1e-15 quantile plus ten."""
+
+    def _row(self, k):
+        if k not in self._rows:
+            row = np.ones(1)
+            if k:
+                m_max = int(stats.nbinom.ppf(1.0 - 1e-15, k, 1.0 - self.p)) + 10
+                row = np.zeros(k + m_max + 1)
+                row[k:] = stats.nbinom.pmf(np.arange(m_max + 1), k, 1.0 - self.p)
+            self._rows[k] = row
+        return self._rows[k]
+
+
+@pytest.mark.parametrize("p, rtol", [(p, 1e-11) for p in (0.2, 1 / 3, 0.5, 2 / 3, 0.8)]
+                         + [(p, 1e-9) for p in (0.9, 0.99, 0.999)])
+@pytest.mark.parametrize("k", [1, 2, 7, 50, 200])
+def test_stage_weights_match_negative_binomial_pmf(k, p, rtol):
+    row = ConditionalLaws(ExponentialMargin(1.0), k, p)._row(k)
+    assert not row[:k].any()
+    weights = row[k:]
+    pmf = stats.nbinom.pmf(np.arange(weights.size), k, 1.0 - p)
+    seen = pmf > 1e-300
+    np.testing.assert_allclose(weights[seen], pmf[seen], rtol=rtol, atol=0)
+    assert stats.nbinom.sf(weights.size - 1, k, 1.0 - p) <= 1e-15  # the dropped tail
+    assert abs(weights.sum() - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("p", [F(1, 3), F(1, 2), F(2, 3), F(999, 1000)])
+@pytest.mark.parametrize("d", [3, 20, 100, 200])
+def test_exponential_var_es_match_stats_rows(d, p):
+    # rows near p = 1 hold up to 3e5 stages, so fewer points and levels there
+    near_one = p == F(999, 1000)
+    measures = ["var:0.9", "es:0.9"] + ([] if near_one else ["var:0.995", "es:0.995"])
+    points = extremal_points(d, p)
+    points = [points[i] for i in np.unique(np.linspace(0, len(points) - 1, 3 if near_one else 12)
+                                           .astype(int))]
+    margin = ExponentialMargin(0.1)
+    got, want = ({m: [] for m in measures} for _ in range(2))
+    for laws, values in ((ConditionalLaws(margin, d, p), got), (StatsRows(margin, d, p), want)):
+        for pt in points:
+            dist = laws.mix(pt)
+            for m in measures:
+                values[m].append(evaluate(dist, m))
+    for m in measures:
+        np.testing.assert_allclose(got[m], want[m], rtol=1e-10, atol=0)
+        assert (np.argmin(got[m]), np.argmax(got[m])) == (np.argmin(want[m]), np.argmax(want[m]))
+
+
+def test_stage_rows_past_the_budget_are_refused_before_they_are_built():
+    near = ConditionalLaws(ExponentialMargin(1.0), 4, F(9999, 10000))
+    assert near._row(4).size == 441805  # 1 - p = 1e-4 stays inside 2^20 stages
+    nearer = ConditionalLaws(ExponentialMargin(1.0), 4, F(99999, 100000))
+    with pytest.raises(ValueError, match=r"d=4, p=0.99999 need 4.418e\+06 Erlang stages"):
+        nearer.mix(max_convex_point(4, F(99999, 100000)))
+    assert 4 not in nearer._rows
