@@ -3,7 +3,8 @@
 For a common margin, given driver sum k the aggregate is the sum of d-k
 copies of the split component Z0 and k copies of Z1, with law L_k; under a
 driver-sum pmf g the sum's law is the mixture sum_k g(k) L_k.
-``ConditionalLaws`` builds each row L_k once per call and mixes rows:
+``ConditionalLaws`` builds each row L_k once per call and mixes rows, or mixes
+the rows' spectra of a few points (the convex fast path) and builds no row:
 
 * discrete margins: L_k is a lattice pmf, the inverse FFT of
   Z0hat^(d-k) Z1hat^k, with powers by repeated squaring,
@@ -35,15 +36,14 @@ allocation mixes.
 
 from __future__ import annotations
 
+import bisect
 import math
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 from scipy import special
-from scipy.fft import next_fast_len
 
-from .distributions import (GridDistribution, LatticeDistribution, MixedErlangDistribution,
-                            log_sum_exp)
+from .distributions import LatticeDistribution, MixedErlangDistribution, log_mean_exp
 from .drivers import DriverStack, as_driver
 from .margins import (
     DiscreteMargin,
@@ -61,13 +61,18 @@ _GRID_TABLE_NODES = 1 << 24
 _STAGE_ROW_NODES = 1 << 20
 
 
-def _clean_pmf(pmf: np.ndarray) -> np.ndarray:
-    """Clip FFT round-off and renormalize a pmf, or each row of a stack of pmfs."""
-    low = pmf.min()
-    if low < -1e-9:
-        raise ArithmeticError(f"FFT round-off produced mass {low}, beyond tolerance")
-    pmf = np.clip(pmf, 0.0, None)
-    return pmf / pmf.sum(axis=-1, keepdims=True)
+@cache
+def _smooth_numbers(bits: int) -> list[int]:
+    """The numbers 2^a 3^b 5^c up to 2^bits, sorted."""
+    odd = [m for m in (3**b * 5**c for b in range(bits + 1) for c in range(bits + 1))
+           if m <= 1 << bits]
+    return sorted(m << a for m in odd for a in range(((1 << bits) // m).bit_length()))
+
+
+def _next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, as ``scipy.fft.next_fast_len(n, real=True)`` gives it."""
+    numbers = _smooth_numbers((n - 1).bit_length())
+    return numbers[bisect.bisect_left(numbers, n)]
 
 
 def _mixing_weights(sum_pmf, d: int) -> list[tuple[int, float]]:
@@ -117,11 +122,12 @@ def _stage_weights(k: int, p: float, m_max: int) -> np.ndarray:
 class ConditionalLaws:
     """Laws L_k, k = 0..d, of the sum of d common margins given driver sum k.
 
-    Rows are built on first use, each k once, and each row's mean is checked
-    against (d-k) E[Z0] + k E[Z1]: within 1e-8 relative for discrete and
-    exponential margins, 1e-6 absolute on the uniform grid (default step
-    d/2^15, at most 2^22 nodes a row and 2^24 in all).  ``mix`` returns the
-    law for a SumPmf or extremal point.  Nothing is kept across calls.
+    ``mix`` returns the law for a SumPmf or extremal point from rows, each built
+    once on first use, or the laws of a list of them from their spectra.  Every
+    row, and every pmf an inverse FFT gives, has its mean checked against
+    sum_k w_k ((d-k) E[Z0] + k E[Z1]): within 1e-8 relative for discrete and
+    exponential margins, 1e-6 absolute on the uniform grid (default step d/2^15,
+    at most 2^22 nodes a pmf and 2^24 in all).  Nothing is kept across calls.
     """
 
     def __init__(self, margin, d: int, p, grid_h: float | None = None):
@@ -152,7 +158,7 @@ class ConditionalLaws:
         else:
             raise ValueError(f"unsupported margin type {type(margin).__name__}")
         if self.h is not None:
-            self._length = next_fast_len(self.size, real=True)
+            self._length = _next_fast_len(self.size)
         self._z_means = margin.z_means(self.p)
         self._rows: dict[int, np.ndarray] = {}
         self._split_log_mgfs: dict[float, tuple[float, float]] = {}
@@ -170,17 +176,43 @@ class ConditionalLaws:
 
     @cached_property
     def _spectra(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(np.fft.rfft(z.probs, n=self._length) for z in self._split)
+        """Split transforms, cut after the last frequency where max(|Z0|, |Z1|)^d reaches
+        1e-20: a law's spectrum mixes products of d of them, so no pmf entry moves by 1e-20,
+        and the powers are spared slow subnormals.  The inverse FFT pads with zeros."""
+        spectra = [np.fft.rfft(z.probs, n=self._length) for z in self._split]
+        kept = np.flatnonzero(np.maximum(*map(np.abs, spectra)) >= 1e-20 ** (1.0 / self.d))
+        return tuple(spectrum[: kept[-1] + 1] for spectrum in spectra)
 
-    def _power(self, which: int, j: int) -> np.ndarray | None:
-        """Spectrum of the j-fold convolution of split ``which``, None for j=0."""
-        square, out = self._spectra[which], None
-        while j:
-            if j & 1:
-                out = square if out is None else out * square
-            j >>= 1
-            square = square * square if j else square
+    def _powers(self, which: int, exponents) -> dict:
+        """Spectra of split ``which`` to each power in ``exponents``, from one squaring pass."""
+        out = dict.fromkeys(exponents, 1)
+        square, bit, top = self._spectra[which], 1, max(out)
+        while bit <= top:
+            for j in out:
+                if j & bit:
+                    out[j] = out[j] * square
+            bit <<= 1
+            square = square * square if bit <= top else square
         return out
+
+    def _inverse(self, spectrum: np.ndarray, pairs, n: int = 1) -> np.ndarray:
+        """pmf of a row or point law from its spectrum, cut to the lattice and checked; the
+        grid budget counts the rows built and the n pmfs asked for."""
+        n += len(self._rows)
+        if isinstance(self.margin, UniformMargin) and n * self.size > _GRID_TABLE_NODES:
+            raise MemoryError(f"{n} grid pmfs exceed the budget; raise grid_h")
+        pmf = np.fft.irfft(spectrum, n=self._length)[: self.size]
+        self._check_mean(pairs, pmf)
+        return pmf
+
+    def _check_mean(self, pairs, pmf: np.ndarray) -> None:  # exp rows weigh stages beyond d
+        mean = np.dot(np.arange(pmf.size), pmf) / pmf.sum()
+        mean = (self.d + mean) / self.beta if self.h is None else self.h * mean
+        m0, m1 = self._z_means
+        expected = sum(w * ((self.d - k) * m0 + k * m1) for k, w in pairs)
+        if abs(mean - expected) > max(self._tol[1], self._tol[0] * abs(expected)):
+            raise ArithmeticError(f"law at driver sums {[k for k, _ in pairs]}: mean {mean} "
+                                  f"deviates from {expected}")
 
     def _row(self, k: int) -> np.ndarray:
         if k in self._rows:
@@ -195,18 +227,10 @@ class ConditionalLaws:
                                      f"over the budget of {_STAGE_ROW_NODES}; p is too near 1")
                 row = np.zeros(k + int(m_max) + 1)
                 row[k:] = _stage_weights(k, self.p, int(m_max))
-            mean = (self.d + np.dot(np.arange(row.size), row) / row.sum()) / self.beta
+            self._check_mean([(k, 1.0)], row)
         else:
-            n_rows = len(self._rows) + 1
-            if isinstance(self.margin, UniformMargin) and n_rows * self.size > _GRID_TABLE_NODES:
-                raise MemoryError(f"{n_rows} grid rows exceed the budget; raise grid_h")
-            a, b = self._power(0, self.d - k), self._power(1, k)
-            spectrum = b if a is None else a if b is None else a * b
-            row = np.fft.irfft(spectrum, n=self._length)[: self.size].copy()
-            mean = self.h * np.dot(np.arange(self.size), row) / row.sum()
-        expected = (self.d - k) * self._z_means[0] + k * self._z_means[1]
-        if abs(mean - expected) > max(self._tol[1], self._tol[0] * abs(expected)):
-            raise ArithmeticError(f"law at driver sum {k}: mean {mean} deviates from {expected}")
+            row = self._inverse(self._powers(0, [self.d - k])[self.d - k]
+                                * self._powers(1, [k])[k], [(k, 1.0)]).copy()
         self._rows[k] = row
         return row
 
@@ -231,20 +255,9 @@ class ConditionalLaws:
         return self._split_log_mgfs[t]
 
     def _log_mgf(self, pairs, t: float) -> float:
-        """log E[e^{tS}], S in lattice steps; row k contributes (d-k) log M0(t) + k log M1(t).
-
-        With c the largest row term it is c + log1p(sum_k w_k expm1(row_k - c)), the
-        weights normalized, so a tiny t keeps its tiny answer instead of the round-off of
-        the weights' sum.  Where the rows lie far apart and the sum comes near -1, log1p
-        would see round-off, so it is log-sum-exp of log w_k + row_k instead."""
+        """log E[e^{tS}], S in lattice steps; row k contributes (d-k) log M0(t) + k log M1(t)."""
         l0, l1 = self._split_log_mgf(t)
-        rows = [(self.d - k) * l0 + k * l1 for k, _ in pairs]
-        top, total = max(rows), sum(w for _, w in pairs)
-        mixed = sum(w * math.expm1(row - top) for (_, w), row in zip(pairs, rows)) / total
-        if mixed > -0.5:
-            return top + math.log1p(mixed)
-        return log_sum_exp([math.log(w) + row for (_, w), row in zip(pairs, rows) if w > 0]
-                           ) - math.log(total)
+        return log_mean_exp([w for _, w in pairs], [(self.d - k) * l0 + k * l1 for k, _ in pairs])
 
     def _variance(self, pairs) -> float:
         """Variance in lattice steps, from the rows' means and variances."""
@@ -254,21 +267,45 @@ class ConditionalLaws:
         return sum(w * ((self.d - k) * v0 + k * v1 + (m - mean) ** 2)
                    for (k, w), m in zip(pairs, means))
 
+    def _laws(self, pmfs: np.ndarray, all_pairs) -> list[LatticeDistribution]:
+        """Lattice or grid laws of a stack of pmfs, with their exact log-mgfs and variances."""
+        return LatticeDistribution.stack(
+            pmfs, [partial(self._log_mgf, pairs) for pairs in all_pairs],
+            [self._variance(pairs) for pairs in all_pairs],
+            self.h if isinstance(self.margin, UniformMargin) else None)
+
     def mix(self, sum_pmf):
-        """Mixed-Erlang, lattice or grid law of the sum under a sum pmf or extremal point."""
+        """Mixed-Erlang, lattice or grid law of the sum under a sum pmf or extremal point,
+        or the list of laws under a list of them.
+
+        A law is linear in its rows, so it mixes on either side of the inverse FFT: one
+        law mixes the pmfs of its rows, a list of lattice or grid laws their spectra
+        sum_k w_k Z0^(d-k) Z1^k, from one squaring pass per split over the exponents of
+        the whole list, with one inverse FFT a law and no row.
+        """
+        if isinstance(sum_pmf, list):
+            return [self.mix(g) for g in sum_pmf] if self.h is None else self._mix_spectra(sum_pmf)
         pairs = _mixing_weights(sum_pmf, self.d)
         rows = [self._row(k) for k, _ in pairs]
         mixed = np.zeros(max(row.size for row in rows))
         for (_, w), row in zip(pairs, rows):
             mixed[: row.size] += w * row
-        exact = {"log_mgf": partial(self._log_mgf, pairs), "variance": self._variance(pairs)}
-        if self.h is None:
-            eta = mixed[: int(np.searchsorted(np.cumsum(mixed), 1.0 - _ETA_EPS)) + 1]
-            return MixedErlangDistribution(self.beta, self.d, eta, max(0.0, 1.0 - eta.sum()),
-                                           **exact)
-        if isinstance(self.margin, UniformMargin):
-            return GridDistribution(self.h, _clean_pmf(mixed), **exact)
-        return LatticeDistribution(_clean_pmf(mixed), **exact)
+        if self.h is not None:
+            return self._laws(mixed[None], [pairs])[0]
+        eta = mixed[: int(np.searchsorted(np.cumsum(mixed), 1.0 - _ETA_EPS)) + 1]
+        return MixedErlangDistribution(self.beta, self.d, eta, max(0.0, 1.0 - eta.sum()),
+                                       log_mgf=partial(self._log_mgf, pairs),
+                                       variance=self._variance(pairs))
+
+    def _mix_spectra(self, sum_pmfs) -> list[LatticeDistribution]:
+        all_pairs = [_mixing_weights(g, self.d) for g in sum_pmfs]
+        z0 = self._powers(0, {self.d - k for pairs in all_pairs for k, _ in pairs})
+        z1 = self._powers(1, {k for pairs in all_pairs for k, _ in pairs})
+        pmfs = np.empty((len(all_pairs), self.size))
+        for pmf, pairs in zip(pmfs, all_pairs):
+            pmf[:] = self._inverse(sum(w * z0[self.d - k] * z1[k] for k, w in pairs), pairs,
+                                   len(pmfs))
+        return self._laws(pmfs, all_pairs)
 
 
 class SplitTable:
@@ -296,7 +333,7 @@ class SplitTable:
         if len(margins) != self.d:
             raise ValueError(f"need {self.d} margins, got {len(margins)}")
         self.size = sum(m.n for m in margins) + 1
-        self.length = next_fast_len(self.size, real=True)
+        self.length = _next_fast_len(self.size)
         self._pmfs = [(z.z0, z.z1) for z in (m.z_pmfs(q) for m, q in zip(margins, p))]
         # Mixing 0 where coordinate j is k or l, else 1, gives P(I_k = I_l = 1):
         # these d^2 columns ride along with the spectra in law's one mixture.
@@ -375,7 +412,7 @@ class SplitTable:
         mixed = stack.mix(*self._columns)
         cut = mixed.shape[1] - self.d**2
         joint = mixed[:, cut:].real.reshape(-1, self.d, self.d)
-        pmfs = _clean_pmf(np.fft.irfft(mixed[:, :cut], n=self.length)[:, : self.size])
+        pmfs = np.fft.irfft(mixed[:, :cut], n=self.length)[:, : self.size]
         variances = self._covariance(joint).reshape(len(pmfs), -1).sum(axis=1)
         mixed_at: dict[float, np.ndarray] = {}  # the stack's mixed split mgfs, per t
         return LatticeDistribution.stack(
@@ -402,8 +439,9 @@ def aggregate_discrete_general(margins: list[DiscreteMargin], driver,
 
 
 def aggregate(margin, d: int, sum_pmf, p, grid_h: float | None = None, laws=None):
-    """Law of the sum for one margin family, from the call's ``laws`` table if given;
-    "bernoulli" measures the driver sum itself."""
+    """Law of the sum for one margin family, or the list of laws for a list of sum pmfs
+    (``ConditionalLaws.mix``), from the call's ``laws`` table if given; "bernoulli"
+    measures the driver sum itself."""
     if margin == "bernoulli":
         k, w = np.array(_mixing_weights(sum_pmf, d)).T
         return LatticeDistribution(np.bincount(k.astype(int), weights=w, minlength=d + 1))

@@ -92,13 +92,15 @@ def _margin_desc(margin) -> str:
 
 
 def _evaluate_points(margin, d: int, p, points, measures, grid_h) -> list[list[float]]:
-    """Measure values per point, from one table of conditional laws for the call."""
+    """Measure values per point, from one table of conditional laws for the call.  Points
+    mix rows, one inverse FFT a row, unless there are fewer points than rows they touch
+    (the fast path's two): then they mix spectra, one inverse FFT a point."""
     laws = None if margin == "bernoulli" else ConditionalLaws(margin, d, p, grid_h)
-    rows = []
-    for pt in points:
-        dist = aggregate(margin, d, pt, p, grid_h=grid_h, laws=laws)
-        rows.append([evaluate(dist, m) for m in measures])
-    return rows
+    if laws is not None and len(points) < len({k for pt in points for k in (pt.k1, pt.k2)}):
+        dists = aggregate(margin, d, points, p, grid_h=grid_h, laws=laws)
+    else:
+        dists = (aggregate(margin, d, pt, p, grid_h=grid_h, laws=laws) for pt in points)
+    return [[evaluate(dist, m) for m in measures] for dist in dists]
 
 
 def _report(margin, d, p, measures, labels, rows, metadata, fixed=False) -> RiskReport:

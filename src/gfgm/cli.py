@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -202,7 +203,9 @@ def cmd_reproduce(args) -> int:
     ids = reference.table_ids() if args.table == "all" else [args.table]
     overall_ok = True
     for table_id in ids:
+        t0 = time.perf_counter()
         diff = reference.diff_table(table_id)
+        runtime = time.perf_counter() - t0
         rows = [
             [c.key, _fmt(c.expected), _fmt(c.computed), c.tol, "ok" if c.ok else "FAIL"]
             for c in diff.cells
@@ -213,7 +216,8 @@ def cmd_reproduce(args) -> int:
             Path(out).parent.mkdir(parents=True, exist_ok=True)
         _write_output((["cell", "expected", "computed", "tolerance", "status"], rows), out, "csv")
         n_fail = len(diff.failures())
-        print(f"{table_id}: {len(diff.cells) - n_fail}/{len(diff.cells)} cells ok", file=sys.stderr)
+        print(f"{table_id}: {len(diff.cells) - n_fail}/{len(diff.cells)} cells ok "
+              f"in {runtime:.2f} s", file=sys.stderr)
         for cell in diff.failures():
             print(
                 f"  FAIL {cell.key}: expected {_fmt(cell.expected)}, "

@@ -36,18 +36,31 @@ def log_sum_exp(values) -> float:
     return float(top + np.log(np.exp(values - top).sum()))
 
 
-def _normalized(probs) -> tuple[np.ndarray, np.ndarray]:
-    """A pmf, or each row of a stack of pmfs, checked, clipped and normalized
-    along the last axis, with its cdf."""
+def log_mean_exp(weights, values) -> float:
+    """log(sum_k w_k e^{v_k} / sum_k w_k) as c + log1p(sum_k w_k expm1(v_k - c) / sum_k w_k),
+    c the largest value, so values near 0 keep their size rather than the round-off of the
+    weights' sum; log-sum-exp where the values lie far apart and the sum nears -1."""
+    weights, values = np.asarray(weights, dtype=float), np.asarray(values, dtype=float)
+    top, total = values.max(), weights.sum()
+    mixed = float(np.dot(weights, np.expm1(values - top))) / total
+    if mixed > -0.5:
+        return float(top) + math.log1p(mixed)
+    keep = weights > 0
+    return log_sum_exp(np.log(weights[keep]) + values[keep]) - math.log(total)
+
+
+def _normalized(probs, fault=ValueError) -> tuple[np.ndarray, np.ndarray]:
+    """A pmf, or each row of a stack of pmfs, checked (``fault`` for an entry below -1e-9
+    or a mass off 1 by 1e-10), clipped and normalized along the last axis, with its cdf."""
     probs = np.asarray(probs, dtype=float)
     if probs.min() < -1e-9:
-        raise ValueError(f"pmf entry {probs.min()} too negative for round-off")
+        raise fault(f"pmf entry {probs.min()} too negative for round-off")
     probs = np.clip(probs, 0.0, None)
     totals = probs.sum(axis=-1, keepdims=True)
     worst = totals.flat[np.abs(totals - 1.0).argmax()]
     if abs(worst - 1.0) > 1e-10:
-        raise ValueError(f"pmf mass {worst} deviates from 1 beyond 1e-10")
-    probs = probs / totals
+        raise fault(f"pmf mass {worst} deviates from 1 beyond 1e-10")
+    probs /= totals
     return probs, np.cumsum(probs, axis=-1)
 
 
@@ -72,13 +85,18 @@ class LatticeDistribution:
         self._quantiles: dict[float, float] = {}
 
     @staticmethod
-    def stack(probs, log_mgfs, variances) -> list["LatticeDistribution"]:
-        """One law per row of a 2-d pmf array, each equal to ``LatticeDistribution(row,
-        log_mgf, variance)``: the checks and normalization run over all rows at once."""
+    def stack(probs, log_mgfs, variances, grid_h=None) -> list["LatticeDistribution"]:
+        """One law per row of a 2-d array of inverse-FFT pmfs, each equal to
+        ``LatticeDistribution(row, log_mgf, variance)`` or, given a grid step,
+        ``GridDistribution(grid_h, ...)``; round-off past the checks raises ArithmeticError."""
+        cls = LatticeDistribution if grid_h is None else GridDistribution
         out = []
-        for row, cdf, log_mgf, variance in zip(*_normalized(probs), log_mgfs, variances):
-            dist = LatticeDistribution.__new__(LatticeDistribution)
+        for row, cdf, log_mgf, variance in zip(*_normalized(probs, ArithmeticError), log_mgfs,
+                                               variances):
+            dist = cls.__new__(cls)
             dist._set(row, cdf, log_mgf, variance)
+            if grid_h is not None:
+                dist.h = float(grid_h)
             out.append(dist)
         return out
 
@@ -112,27 +130,28 @@ class LatticeDistribution:
                 np.searchsorted(self._cdf, level - _CDF_SLACK, side="left"))
         return self._quantiles[level]
 
-    def stop_loss(self, t: float) -> float:
-        return self.h * float(np.dot(np.clip(self.support - t / self.h, 0.0, None), self.probs))
+    def stop_loss(self, t: float) -> float:  # a sum over the nodes above t only
+        first = min(max(math.floor(t / self.h) + 1, 0), self.probs.size)
+        return self.h * float(np.dot(self.support[first:] - t / self.h, self.probs[first:]))
 
     def log_mgf(self, gamma: float) -> float:
         t = gamma * self.h
         if self._exact_log_mgf is not None:
             return self._exact_log_mgf(t)
-        mask = self.probs > 0
-        return log_sum_exp(np.log(self.probs[mask]) + t * self.support[mask])
+        return log_mean_exp(self.probs, t * self.support)
 
 
 class GridDistribution(LatticeDistribution):
     """pmf lumped on the lattice {0, h, 2h, ...} of a grid step h > 0."""
 
     kind = "grid"
+    _node_slack = 1e-9
 
     def __init__(self, h: float, probs, log_mgf=None, variance=None):
         if h <= 0:
             raise ValueError("grid step must be positive")
         super().__init__(probs, log_mgf=log_mgf, variance=variance)
-        self.h, self._node_slack = float(h), 1e-9
+        self.h = float(h)
 
 
 class MixedErlangDistribution:

@@ -163,12 +163,12 @@ class TestDiscreteGeneral:
 
 def reference_law(table, driver):
     """SplitTable.law as one driver at a time computed it: one driver.mix, one inverse
-    FFT, the LatticeDistribution constructor, the covariance sum and the mgf mixture."""
-    from gfgm.aggregation import _clean_pmf
+    FFT, the LatticeDistribution constructor (its one normalization), the covariance sum
+    and the mgf mixture."""
     from gfgm.distributions import LatticeDistribution
 
     mixed = driver.mix(*table._columns)[: -table.d**2]
-    pmf = _clean_pmf(np.fft.irfft(mixed, n=table.length)[: table.size])
+    pmf = np.fft.irfft(mixed, n=table.length)[: table.size]
 
     def log_mgf(t):
         l0, l1 = np.array([[z.log_mgf(t) for z in pair] for pair in table._split]).T

@@ -186,6 +186,20 @@ class TestBounds:
         report = json.loads(out_file.read_text())
         assert report["metadata"]["path"] == "vertex-enumeration"
 
+    @pytest.mark.parametrize("margin, mean", [("uniform", 1.5), ("discrete", 2.25)])
+    def test_entropic_at_tiny_gamma_is_the_mean(self, capsys, tmp_path, margin, mean):
+        # the split pmfs' log-mgf was the log of a weight sum that round-off keeps off 1,
+        # so gamma = 1e-200 gave 0.0 (uniform) and -8.3e183 (this discrete margin)
+        if margin == "discrete":
+            margin_file = tmp_path / "margin.json"
+            margin_file.write_text(json.dumps({"type": "discrete", "pmf": [0.5, 0.25, 0.25]}))
+            margin = f"discrete:{margin_file}"
+        code, out, _ = run(capsys, "bounds", "--margin", margin, "--d", "3", "--p", "1/2",
+                           "--measures", "entropic:1e-200")
+        assert code == 0
+        values = json.loads(out)["values"]["entropic:1e-200"]
+        np.testing.assert_allclose(values, mean, rtol=1e-15)
+
 
     @pytest.mark.parametrize("grid", ["nan", "inf", "0", "1e10", "1e-311"])
     def test_grid_step_outside_the_support_or_the_budget_is_usage_error(self, capsys, grid):
@@ -281,6 +295,18 @@ class TestReproduce:
     def test_unknown_table_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "reproduce", "no-such-table")
         assert code == 3
+
+    def test_summary_gives_the_table_runtime(self, capsys, monkeypatch):
+        import types
+
+        import gfgm.cli
+
+        clock = iter([10.0, 10.84])
+        monkeypatch.setattr(gfgm.cli, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
+        code, out, err = run(capsys, "reproduce", "example-sums-d3")
+        assert code == 0
+        assert err.splitlines() == ["example-sums-d3: 26/26 cells ok in 0.84 s"]
+        assert out.startswith("cell,expected,computed,tolerance,status")
 
 
 class TestSampleAndValidate:

@@ -32,6 +32,7 @@ from gfgm.reference import d100_discrete_margin
 from gfgm.sums import extremal_points, max_convex_point, min_convex_point
 
 MEASURES = ["var:0.9", "es:0.9", "entropic:0.05", "std"]
+CONVEX_MEASURES = MEASURES[1:]
 RTOL = 1e-9
 P_VALUES = (F(1, 3), F(1, 2), F(2, 3))
 
@@ -55,13 +56,13 @@ def assert_matches(report, oracle_values):
         assert report.maxima[m][1] == labels[int(np.argmax(oracle_values[m]))]
 
 
-def lattice_oracle(rows, points, wrap):
-    values = {m: [] for m in MEASURES}
+def lattice_oracle(rows, points, wrap, measures=MEASURES):
+    values = {m: [] for m in measures}
     for pt in points:
         pairs = [(pt.k1, F(1))] if pt.is_degenerate else [(pt.k1, pt.w1), (pt.k2, pt.w2)]
         mix = sum(float(w) * rows[k] for k, w in pairs)
         dist = wrap(mix / mix.sum())
-        for m in MEASURES:
+        for m in measures:
             values[m].append(evaluate(dist, m))
     return values
 
@@ -87,6 +88,90 @@ def test_uniform_rows_match_dense_convolution(p):
     report = bounds_common_p(UniformMargin(), d, p, MEASURES, grid_h=h)
     oracle = lattice_oracle(rows, extremal_points(d, p), lambda pmf: GridDistribution(h, pmf))
     assert_matches(report, oracle)
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+@pytest.mark.parametrize("family", ["discrete", "uniform"])
+def test_fast_path_points_match_dense_convolution(family, p):
+    # the two points' laws come from their mixed spectra, not from rows
+    if family == "discrete":
+        d, margin, h = 6, DiscreteMargin.from_power_cdf(0.4, 2.0, 8), None
+        z = margin.z_pmfs(p)
+        a, b, wrap = z.z0, z.z1, LatticeDistribution
+    else:
+        d, margin, h = 5, UniformMargin(), 1.0 / 64
+        a = _discretize_unit_density(v0_stop_loss, p, h)
+        b = _discretize_unit_density(v0v1_stop_loss, p, h)
+        wrap = lambda pmf: GridDistribution(h, pmf)  # noqa: E731
+    rows = dense_rows(a / a.sum(), b / b.sum(), d)
+    report = convex_bounds_fast(margin, d, p, CONVEX_MEASURES, grid_h=h)
+    points = [min_convex_point(d, p), max_convex_point(d, p)]
+    assert_matches(report, lattice_oracle(rows, points, wrap, CONVEX_MEASURES))
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+@pytest.mark.parametrize("d", [20, 47])
+@pytest.mark.parametrize("family", ["discrete", "uniform", "exp"])
+def test_fast_path_matches_full_enumeration_at_its_labels(family, d, p):
+    margin = {"discrete": d100_discrete_margin(), "uniform": UniformMargin(),
+              "exp": ExponentialMargin(0.1)}[family]
+    fast = convex_bounds_fast(margin, d, p, CONVEX_MEASURES)
+    full = bounds_common_p(margin, d, p, CONVEX_MEASURES)
+    for m in fast.measures:
+        for value, label in (fast.minima[m], fast.maxima[m]):
+            want = full.values[m][full.point_labels.index(label)]
+            assert value == pytest.approx(want, rel=1e-12, abs=0)
+        assert (fast.minima[m][1], fast.maxima[m][1]) == (full.minima[m][1], full.maxima[m][1])
+
+
+@pytest.mark.parametrize("family", ["discrete", "uniform"])
+def test_fast_path_makes_two_transforms_each_way_and_no_rows(family, monkeypatch):
+    import gfgm.bounds
+
+    calls, tables = {"rfft": 0, "irfft": 0}, []
+    for name in calls:
+        def counted(*args, _fft=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fft(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+
+    class Recorded(ConditionalLaws):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tables.append(self)
+
+    monkeypatch.setattr(gfgm.bounds, "ConditionalLaws", Recorded)
+    margin = d100_discrete_margin() if family == "discrete" else UniformMargin()
+    convex_bounds_fast(margin, 100, F(1, 3), CONVEX_MEASURES)
+    assert calls["rfft"] <= 2 and calls["irfft"] <= 2
+    assert len(tables) == 1 and tables[0]._rows == {}
+
+
+def test_fast_path_points_get_a_mean_check():
+    laws = ConditionalLaws(d100_discrete_margin(), 40, F(1, 3))
+    m0, m1 = laws._z_means
+    laws._z_means = (m0, m1 * (1.0 + 1e-6))
+    with pytest.raises(ArithmeticError, match="mean"):
+        laws.mix([min_convex_point(40, F(1, 3)), max_convex_point(40, F(1, 3))])
+    assert laws._rows == {}
+
+
+def test_inverse_fft_round_off_past_the_checks_is_a_program_fault():
+    negative, heavy = np.array([[0.5, 0.5 + 2e-9, -2e-9]]), np.array([[0.5, 0.5 + 1e-9, 0.0]])
+    for pmfs in (negative, heavy):
+        with pytest.raises(ArithmeticError):
+            LatticeDistribution.stack(pmfs, [None], [None])
+        with pytest.raises(ValueError):  # the same pmf from a caller is a usage error
+            LatticeDistribution(pmfs[0])
+
+
+def test_fast_lengths_match_scipy_next_fast_len():
+    from scipy.fft import next_fast_len
+
+    # every n up to 300,000, and around the grid row and table budgets (2^22, 2^24 nodes)
+    ends = [(1 << b) + e for b in (20, 22, 24) for e in (-1, 0, 1)] + [4199040, 4199041]
+    for n in list(range(1, 300_001)) + ends:
+        assert aggregation._next_fast_len(n) == next_fast_len(n, real=True), n
 
 
 def two_gamma_measures(pairs, d, rate, p, alpha, gamma):

@@ -7,7 +7,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-HEAVY = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
+HEAVY = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg",
+         "scipy.fft")
 
 CALLS = """
 import sys
