@@ -14,8 +14,9 @@ the rows' spectra of a few points (the convex fast path) and builds no row:
   below the base rate expands as a geometric compound, giving
   negative-binomial stage weights (numerically stable at high dimension,
   unlike partial fractions with alternating signs).  ``_stage_weights``
-  builds them by a ratio recurrence, cut where ``scipy.special.nbdtrik``
-  leaves 1e-15 of the mass; a row over 2^20 stages (p near 1) is refused.
+  builds them by a ratio recurrence, cut where the negative-binomial tail
+  falls to 1e-15 (``_stage_tail_root``); a row over 2^20 stages (p near 1)
+  is refused before it is built.
 
 The split components Z0 and Z1 (or their grid lumps) are held as
 ``LatticeDistribution`` objects in lattice steps, and the mixed law of S is
@@ -41,7 +42,6 @@ import math
 from functools import cache, cached_property, partial
 
 import numpy as np
-from scipy import special
 
 from .distributions import LatticeDistribution, MixedErlangDistribution, log_mean_exp
 from .drivers import DriverStack, as_driver
@@ -117,6 +117,43 @@ def _stage_weights(k: int, p: float, m_max: int) -> np.ndarray:
     w[mode + 1:] = np.cumprod(p * (k + m[mode:-1]) / (m[mode:-1] + 1.0))
     w[:mode] = np.cumprod(((m[:mode] + 1.0) / (p * (k + m[:mode])))[::-1])[::-1]
     return w / w.sum()
+
+
+def _stage_tail_root(k: int, p: float) -> float:
+    """Root m of P(M > m) = 1 - (1 - 1e-15), M ~ NB(k, 1-p) failures, continued in m as
+    P(M > m) = I_p(m+1, k) = p^(m+1) sum_{j<k} C(m+j, j) (1-p)^j.
+
+    This is the equation ``scipy.special.nbdtrik(1 - 1e-15, k, 1 - p)`` solves.  Its log
+    is concave and decreasing in m, so Newton steps close in on the root from the right
+    after the first.  They start from the root of an approximation: the last term, its
+    log-gamma ratio by Stirling's formula, over 1 - rho, rho the ratio of the term before
+    it to it (at most 1/2).
+    """
+    q = 1.0 - p
+    log_p = math.log1p(-q)
+    goal = math.log(1.0 - (1.0 - _ETA_EPS * 1e-3))
+    m, last = (k + 40.0) / q, goal + math.lgamma(k) - (k - 1) * math.log(q)
+    for _ in range(3):
+        rho = min((k - 1) / ((m + k - 1) * q), 0.5)
+        m -= ((m + 1.0) * log_p + (m + 0.5) * math.log1p((k - 1) / (m + 1.0))
+              + (k - 1) * (math.log(m + k) - 1.0) - math.log1p(-rho) - last) / (
+                  log_p + math.log1p((k - 1) / (m + 0.5)))
+    for _ in range(100):
+        term = total = 1.0  # sum_j C(m+j, j) q^j and its slope in m, rescaled to stay finite
+        harmonic = slope = log_scale = 0.0
+        for j in range(1, k):
+            term *= (m + j) * q / j
+            harmonic += 1.0 / (m + j)
+            total += term
+            slope += term * harmonic
+            if total > 1e250:
+                term, slope, log_scale, total = (term / total, slope / total,
+                                                 log_scale + math.log(total), 1.0)
+        step = ((m + 1.0) * log_p + log_scale + math.log(total) - goal) / (log_p + slope / total)
+        m -= step
+        if not abs(step) > 1e-5 * max(1.0, m):  # the next step would move m by ~1e-10 of it
+            break
+    return m
 
 
 class ConditionalLaws:
@@ -219,8 +256,8 @@ class ConditionalLaws:
             return self._rows[k]
         if self.h is None:  # stage weights beyond d: k + NB(k, 1-p) stages
             row = np.ones(1)
-            if k:  # nbdtrik solves F(m) = 1 - 1e-15 to a tolerance; ten more stages cover it
-                m_max = np.ceil(special.nbdtrik(1.0 - _ETA_EPS * 1e-3, k, 1.0 - self.p)) + 10.0
+            if k:  # ten stages past the root cover its float error
+                m_max = np.ceil(_stage_tail_root(k, self.p)) + 10.0
                 if not k + m_max + 1 <= _STAGE_ROW_NODES:  # also a nan
                     raise ValueError(f"exponential margins at d={self.d}, p={self.p} need "
                                      f"{k + m_max + 1:.4g} Erlang stages at driver sum {k}, "

@@ -9,7 +9,10 @@ on:
   for discrete margins and their split components (h = 1), for discrete sums,
   and, as the GridDistribution subclass, for uniform sums lumped on a grid,
 * MixedErlangDistribution: countable Erlang(beta) mixture (exponential
-  margins), evaluated analytically from its component weights,
+  margins), evaluated analytically from its component weights: at x its
+  cdf, survival, density and stop-loss transform are Poisson(beta x)
+  weights dotted with sums of the component weights (``poisson_weights``),
+  so numpy alone serves it,
 * EmpiricalDistribution: a sorted Monte Carlo sample.
 
 Quantiles follow the generalized-inverse convention inf{y : F(y) >= level};
@@ -22,11 +25,15 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 _CDF_SLACK = 1e-12
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# log j! - log(sqrt(2 pi j) (j/e)^j) at j = 1..15; from 16 on the Stirling series holds to 1e-16
+_STIRLING_ERRORS = [math.lgamma(j + 1.0) - (j + 0.5) * math.log(j) + j - _HALF_LOG_2PI
+                    for j in range(1, 16)]
 
 
 def log_sum_exp(values) -> float:
@@ -47,6 +54,36 @@ def log_mean_exp(weights, values) -> float:
         return float(top) + math.log1p(mixed)
     keep = weights > 0
     return log_sum_exp(np.log(weights[keep]) + values[keep]) - math.log(total)
+
+
+def poisson_weight(lam: float, j: int) -> float:
+    """P(N = j), N ~ Poisson(lam), as exp(j log(lam/j) - (lam - j) - log sqrt(2 pi j) - e(j)),
+    e(j) the error of Stirling's formula for j!; log1p takes log(lam/j) near j = lam, so
+    the two large terms cancel to within 1e-16 |lam - j| rather than 1e-16 j log j."""
+    if j == 0:
+        return math.exp(-lam)
+    if j < 16:
+        stirling = _STIRLING_ERRORS[j - 1]
+    else:
+        x = 1.0 / (j * j)
+        stirling = (1 / 12 - x * (1 / 360 - x * (1 / 1260 - x * (1 / 1680 - x / 1188)))) / j
+    log_ratio = math.log1p((lam - j) / j) if j < 2.0 * lam else math.log(lam / j)
+    return math.exp(j * log_ratio - (lam - j) - _HALF_LOG_2PI - 0.5 * math.log(j) - stirling)
+
+
+def poisson_weights(lam: float, lo: int, hi: int) -> np.ndarray:
+    """P(N = j) for j = lo..hi, N ~ Poisson(lam): ``poisson_weight`` at the j nearest the
+    mode, then cumulative products of the ratios lam/j and j/lam outward from it, which
+    are at most 1, so they cannot overflow and lose about 1e-16 relative a step."""
+    mode = min(max(math.floor(lam), lo), hi)
+    out = np.empty(hi - lo + 1)
+    out[mode - lo] = poisson_weight(lam, mode)
+    out[mode - lo + 1:] = lam / np.arange(mode + 1.0, hi + 1.0)
+    out[: mode - lo] = np.arange(lo + 1.0, mode + 1.0) / lam
+    np.cumprod(out[mode - lo:], out=out[mode - lo:])
+    head = out[mode - lo::-1]
+    np.cumprod(head, out=head)
+    return out
 
 
 def _normalized(probs, fault=ValueError) -> tuple[np.ndarray, np.ndarray]:
@@ -162,6 +199,13 @@ class MixedErlangDistribution:
     exact ``log_mgf(gamma)`` and ``variance`` are given by the caller, since the
     truncated weights lose both a tiny gamma and the dropped tail; quantiles
     start from the weights' own moments.
+
+    With N ~ Poisson(beta x), Erlang(n, beta) has cdf P(N >= n), survival
+    P(N <= n-1), density beta P(N = n-1) and stop-loss transform
+    sum_{i <= n} (n-i) P(N = i) / beta at x.  Summed over the weights, the
+    cdf, survival and stop-loss transform are each one dot product of the
+    Poisson weights with a sum of the eta_k taken from its own end, so every
+    term is nonnegative and both tails keep their relative accuracy.
     """
 
     kind = "mixed-erlang"
@@ -170,20 +214,36 @@ class MixedErlangDistribution:
                  log_mgf, variance: float):
         if beta <= 0:
             raise ValueError("rate must be positive")
+        if shape_offset < 1:
+            raise ValueError("Erlang shapes start at 1")
         eta = np.asarray(eta, dtype=float)
         if eta.min() < -1e-15:
             raise ValueError("mixture weights must be nonnegative")
         total = eta.sum() + tail_mass
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"mixture mass {total} deviates from 1 beyond 1e-10")
-        keep = eta > 0
+        kept = np.flatnonzero(eta > 0)
         self.beta = float(beta)
-        self.shapes = (shape_offset + np.nonzero(keep)[0]).astype(float)
-        self.eta = eta[keep]
+        self.eta = np.clip(eta[kept[0]: kept[-1] + 1], 0.0, None)
+        self.shapes = np.arange(shape_offset + kept[0], shape_offset + kept[-1] + 1.0)
         self.tail_mass = float(tail_mass)
-        self._log_gamma = special.gammaln(self.shapes)
         self._quantiles: dict[tuple[float, float], float] = {}
         self._exact_log_mgf, self._exact_variance = log_mgf, variance
+
+    @cached_property
+    def _sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """At j = 0..n_max: the weight of shapes n <= j, of shapes n > j, and
+        sum_{n > j} eta_n (n - j); then the total weight."""
+        eta = np.zeros(int(self.shapes[-1]) + 1)
+        eta[int(self.shapes[0]):] = self.eta
+        above = np.cumsum(eta[:0:-1])[::-1]
+        excess = np.cumsum(above[::-1])[::-1]
+        return (np.cumsum(eta), np.append(above, 0.0), np.append(excess, 0.0),
+                float(self.eta.sum()))
+
+    @cached_property
+    def _eta_shape_less_one(self) -> np.ndarray:
+        return self.eta * (self.shapes - 1.0)
 
     def mean(self) -> float:
         return float(np.dot(self.eta, self.shapes)) / self.beta
@@ -195,23 +255,44 @@ class MixedErlangDistribution:
     def variance(self) -> float:
         return self._exact_variance
 
+    def _poisson(self, x: float) -> tuple[np.ndarray, int, bool]:
+        """Poisson(beta x) weights at j = lo..hi, and lo.  Below lo they are negligible
+        against every sum; past n_max they reach where they are negligible too (True), unless
+        beta x > n_max, where the cdf is the weight minus the survival instead (False)."""
+        lam, top = self.beta * x, int(self.shapes[-1])
+        if not lam < math.inf:  # x = inf leaves no mass above x; a nan rate gives nan
+            return np.full(top + 1, 0.0 if lam == math.inf else math.nan), 0, False
+        reach = 10.0 * math.sqrt(lam) + 40.0
+        lo = max(0, math.floor(min(self.shapes[0] - 1.0, lam) - reach))
+        covered = lam <= top
+        return poisson_weights(lam, lo, top + math.ceil(reach) if covered else top), lo, covered
+
+    def _cdf_survival(self, x: float) -> tuple[float, float, np.ndarray, int]:
+        """cdf and survival at x > 0, each a sum of nonnegative terms, with the Poisson
+        weights and their first j."""
+        weights, lo, covered = self._poisson(x)
+        below, above, _, total = self._sums
+        head = weights[: above.size - lo]
+        survival = float(np.dot(head, above[lo:]))
+        if covered:
+            cdf = float(np.dot(head, below[lo:])) + total * float(weights[head.size:].sum())
+        else:
+            cdf = total - survival
+        return cdf, survival, weights, lo
+
     def cdf(self, x) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.zeros_like(x)
-        pos = x > 0
-        if pos.any():
-            out[pos] = special.gammainc(self.shapes[None, :], self.beta * x[pos, None]) @ self.eta
-        return float(out[0]) if scalar else out
+        out = np.array([self._cdf_survival(v)[0] if v > 0 else 0.0 for v in x.ravel()])
+        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
     def _cdf_pdf(self, x: float) -> tuple[float, float, float]:
-        """cdf, density and density slope at x > 0; Erlang densities via gammaln."""
-        bx = self.beta * x
-        cdf = float(special.gammainc(self.shapes, bx) @ self.eta)
-        dens = np.exp((self.shapes - 1.0) * math.log(bx) - bx - self._log_gamma) * self.eta
-        slope = float(dens @ ((self.shapes - 1.0) / x - self.beta))
-        return cdf, self.beta * float(dens.sum()), self.beta * slope
+        """cdf, density and density slope at x > 0: Erlang(n) has density beta P(N = n-1),
+        of slope beta P(N = n-1) ((n-1)/x - beta)."""
+        cdf, _, weights, lo = self._cdf_survival(x)
+        first = int(self.shapes[0]) - 1 - lo
+        below = weights[first: first + self.eta.size]
+        dens, moment = float(below @ self.eta), float(below @ self._eta_shape_less_one)
+        return cdf, self.beta * dens, self.beta * (moment / x - self.beta * dens)
 
     def quantile(self, level: float, tol: float = 1e-10) -> float:
         """inf{x : F(x) >= level} within ``tol``, by bracketed Newton steps.
@@ -230,7 +311,7 @@ class MixedErlangDistribution:
         if key in self._quantiles:
             return self._quantiles[key]
         mean, sd = self.mean(), math.sqrt(max(self._weights_variance(), 0.0))
-        lo, hi, x = 0.0, math.inf, max(mean + sd * float(special.ndtri(level)), 0.5 * mean)
+        lo, hi, x = 0.0, math.inf, max(mean + sd * NormalDist().inv_cdf(level), 0.5 * mean)
         for steps in itertools.count(1):
             cdf, pdf, slope = self._cdf_pdf(x)
             if not math.isfinite(cdf):
@@ -249,12 +330,12 @@ class MixedErlangDistribution:
         return hi
 
     def stop_loss(self, t: float) -> float:
-        """E[(S - t)+] from the analytic Erlang tail integrals."""
+        """E[(S - t)+] = sum_j P(N = j) sum_{n > j} eta_n (n - j) / beta, N ~ Poisson(beta t)."""
         if t <= 0:
             return self.mean() - t
-        surv_next = 1.0 - special.gammainc(self.shapes + 1.0, self.beta * t)
-        surv = 1.0 - special.gammainc(self.shapes, self.beta * t)
-        return float(np.dot(self.eta, (self.shapes / self.beta) * surv_next - t * surv))
+        weights, lo, _ = self._poisson(t)
+        excess = self._sums[2]
+        return float(np.dot(weights[: excess.size - lo], excess[lo:])) / self.beta
 
     def log_mgf(self, gamma: float) -> float:
         return self._exact_log_mgf(gamma)

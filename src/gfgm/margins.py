@@ -279,9 +279,13 @@ class DiscreteMargin:
 
 
 def _quad(f) -> float:
-    """Integral of f over [0, 1] by adaptive quadrature; scipy.integrate, which adds
-    about 0.3 s to an import, loads on the first call."""
-    from scipy import integrate
+    """Integral of f over [0, 1] by adaptive quadrature; scipy.integrate, the one use of
+    scipy (the ``quadrature`` extra), loads on the first call."""
+    try:
+        from scipy import integrate
+    except ImportError as exc:
+        raise ImportError("QuantileMargin moments need scipy: "
+                          "pip install gfgm[quadrature]") from exc
 
     return integrate.quad(f, 0.0, 1.0, epsabs=1e-10)[0]
 

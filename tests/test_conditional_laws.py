@@ -8,6 +8,7 @@ attaining labels.
 """
 
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -406,3 +407,101 @@ def test_stage_rows_past_the_budget_are_refused_before_they_are_built():
     with pytest.raises(ValueError, match=r"d=4, p=0.99999 need 4.418e\+06 Erlang stages"):
         nearer.mix(max_convex_point(4, F(99999, 100000)))
     assert 4 not in nearer._rows
+
+
+def test_row_lengths_match_nbdtrik():
+    # the rows used to be cut at ceil(nbdtrik(1 - 1e-15, k, 1 - p)) + 10 stages past the k-th
+    from scipy.special import nbdtrik
+
+    for q in np.geomspace(0.8, 1e-6, 15):
+        p = 1.0 - q
+        for k in list(range(1, 61)) + [100, 150, 200, 300]:
+            size = k + math.ceil(nbdtrik(1.0 - 1e-15, k, q)) + 11
+            laws = ConditionalLaws(ExponentialMargin(1.0), k, p)
+            if size <= aggregation._STAGE_ROW_NODES:
+                assert laws._row(k).size == size, (k, q)
+            else:
+                with pytest.raises(ValueError, match=re.escape(f"need {size:.4g} Erlang stages")):
+                    laws._row(k)
+
+
+def test_poisson_weights_match_the_pmf():
+    # scipy.stats.poisson.pmf is itself off by 3e-12 at lam = 1e3 and 2e-9 at 4.4e5
+    mpmath = pytest.importorskip("mpmath")
+    from gfgm.distributions import poisson_weights
+
+    mpmath.mp.dps = 30
+    for lam in (1e-300, 1e-8, 0.3, 1.0, 7.5, 64.0, 1e3, 4.4e5):
+        lo = max(0, int(lam) - 150)
+        hi = int(lam) + 250
+        want = np.array([float(mpmath.exp(j * mpmath.log(lam) - lam - mpmath.loggamma(j + 1)))
+                         for j in range(lo, hi + 1)])
+        seen = want > 1e-290
+        np.testing.assert_allclose(poisson_weights(lam, lo, hi)[seen], want[seen], rtol=1e-13)
+
+
+def erlang_oracle(dist):
+    """cdf, survival and stop-loss transform of a mixed-Erlang law from scipy's regularized
+    incomplete gammas; E[(X - t)+] = int_t^inf P(X > u) du = sum_{m=1..n} Q(m, beta t) / beta
+    for X ~ Erlang(n, beta), a sum of positive terms."""
+    from scipy.special import gammainc, gammaincc
+
+    shapes, eta, beta = dist.shapes, dist.eta, dist.beta
+    m = np.arange(1.0, shapes[-1] + 1.0)
+
+    def cdf(x):
+        return float(gammainc(shapes, beta * x) @ eta)
+
+    def survival(x):
+        return float(gammaincc(shapes, beta * x) @ eta)
+
+    def stop_loss(t):
+        return float(np.cumsum(gammaincc(m, beta * t))[shapes.astype(int) - 1] @ eta) / beta
+
+    return cdf, survival, stop_loss
+
+
+@pytest.mark.parametrize("d", [4, 100])
+def test_exponential_far_tails_keep_their_relative_accuracy(d):
+    # exp:0.1 at p = 1/3, the convex minimum; 1 - gammainc lost ES to 1e-6 at 1 - 1e-12
+    # and returned a stop-loss of 0.0 past 1.5 VaR
+    p = F(1, 3)
+    dist = ConditionalLaws(ExponentialMargin(0.1), d, p).mix(min_convex_point(d, p))
+    cdf, survival, stop_loss = erlang_oracle(dist)
+    for alpha in (0.999, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12):
+        q = dist.quantile(alpha)
+        assert evaluate(dist, f"es:{alpha!r}") == pytest.approx(
+            q + stop_loss(q) / (1.0 - alpha), rel=1e-12, abs=0)
+        assert dist._cdf_survival(q)[1] == pytest.approx(survival(q), rel=1e-12, abs=0)
+    far = dist.quantile(1 - 1e-12)
+    for t in (0.5 * far, far, 1.5 * far, 2.0 * far, 3.0 * far):
+        assert dist.stop_loss(t) == pytest.approx(stop_loss(t), rel=1e-12, abs=0)
+        assert dist._cdf_survival(t)[1] == pytest.approx(survival(t), rel=1e-12, abs=0)
+    assert 0.0 < dist.stop_loss(3.0 * far) < 1e-40
+    # the left tail: the cdf is summed from its own end too, down to 1e-300
+    xs = [x for x in np.geomspace(1e-80, dist.mean(), 200) if cdf(x) > 1e-300]
+    assert min(cdf(x) for x in xs) < 1e-250
+    for x in xs:
+        assert dist.cdf(x) == pytest.approx(cdf(x), rel=1e-12, abs=0)
+    q = dist.quantile(1e-12)
+    assert cdf(q) >= 1e-12 * (1 - 1e-12) and cdf(q - 1.1e-10) < 1e-12
+
+
+def test_mixed_erlang_vector_cdf_is_the_scalar_kernel():
+    # gfgm validate reads the vector cdf for its Kolmogorov distance
+    from scipy.special import gammainc
+
+    p = F(2, 3)
+    dist = ConditionalLaws(ExponentialMargin(0.1), 20, p).mix(extremal_points(20, p)[7])
+    mean = dist.mean()
+    xs = np.array([-5.0, -1e-300, 0.0, 1e-300, 1e-100, 1e-30, 1e-5, 0.1 * mean, mean, 3 * mean,
+                   30 * mean, 1e4 * mean, 1e300, np.inf])
+    got = dist.cdf(xs)
+    assert got.shape == xs.shape and dist.cdf(xs.reshape(2, -1)).shape == (2, xs.size // 2)
+    assert not got[xs <= 0].any()
+    scalar = [dist._cdf_pdf(x)[0] for x in xs[xs > 0]]
+    assert got[xs > 0].tolist() == scalar == [dist.cdf(x) for x in xs[xs > 0]]
+    want = gammainc(dist.shapes[None, :], dist.beta * xs[:, None]) @ dist.eta
+    seen = want > 1e-300
+    np.testing.assert_allclose(got[seen], want[seen], rtol=1e-12, atol=0)
+    assert got[-1] == got[-2] == pytest.approx(dist.eta.sum(), rel=1e-15)
