@@ -218,8 +218,8 @@ def exchangeable_lift(g: SumPmf) -> BernoulliPmf:
     d = g.d
     if d > MAX_DENSE_DIM:
         raise ValueError(f"dense lift not available for d={d} > {MAX_DENSE_DIM}")
-    values = [g.values[m.bit_count()] / math.comb(d, m.bit_count()) for m in range(1 << d)]
-    return BernoulliPmf(d, tuple(values))
+    weights = g.mask_weights()
+    return BernoulliPmf(d, tuple(weights[m.bit_count()] for m in range(1 << d)))
 
 
 def nu_coefficient(f: BernoulliPmf, p, subset: Sequence[int]) -> Fraction:

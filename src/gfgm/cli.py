@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import reference
+from .aggregation import aggregate, aggregate_discrete_general
 from .allocation import allocation_report
 from .bernoulli import as_fraction, format_fraction, json_field, json_rational
 from .bounds import bounds_common_p, bounds_general_p, convex_bounds_fast
@@ -252,8 +253,6 @@ def cmd_validate(args) -> int:
 
     draws = sample_x(spec, margins, n, seed=args.seed)
     sample = EmpiricalDistribution(draws.sum(axis=1))
-
-    from .aggregation import aggregate, aggregate_discrete_general
 
     p_common = spec.p[0] if all(q == spec.p[0] for q in spec.p) else None
     same_margin = all(type(m) is type(margins[0]) for m in margins)

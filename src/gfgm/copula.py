@@ -7,10 +7,12 @@ distribution whose margins are exactly p.  The copula is the joint cdf of
 
 with U0, U1 independent uniform vectors independent of I.  Two evaluation
 routes are provided and cross-checked in the tests: the explicit expansion in
-the dependence coefficients nu, and the conditional mixture over the driver
-(``Driver.mix``).  Sampling uses the stochastic representation directly
-(inverse transforms only, Philox counter-based streams), so output is
-reproducible given the seed and sample counts are deterministic.
+the dependence coefficients nu, and the conditional mixture over the driver,
+``Driver.mix`` of the split cdfs ``margins.v0_cdf`` (given I_j = 0) and
+``margins.v0v1_cdf`` (given I_j = 1).  Sampling uses the stochastic
+representation directly (inverse transforms only, Philox counter-based
+streams), so output is reproducible given the seed and sample counts are
+deterministic.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ import math
 
 import numpy as np
 
-from .bernoulli import margin_vector, nu_coefficients
-from .drivers import (DenseDriver, Driver, ExchangeableDriver, as_driver, atom_cuts,
-                      atom_uniforms)
+from .bernoulli import (BernoulliPmf, _check_nu_dim, as_fraction, covariance_bounds,
+                        format_fraction, json_field, json_rationals, margin_vector,
+                        nu_coefficients)
+from .drivers import (Driver, ExchangeableDriver, as_driver, atom_cuts, atom_uniforms,
+                      driver_from_json)
 from .margins import Margin, v0_cdf, v0v1_cdf
 
 
@@ -62,8 +66,6 @@ class GfgmSpec:
     @classmethod
     def common(cls, p, driver) -> "GfgmSpec":
         driver = as_driver(driver)
-        from .bernoulli import as_fraction
-
         return cls((as_fraction(p),) * driver.d, driver)
 
     def b(self, j: int) -> Fraction:
@@ -73,15 +75,9 @@ class GfgmSpec:
 
     @cached_property
     def _nu(self) -> dict[tuple[int, ...], Fraction]:
-        from .bernoulli import BernoulliPmf, _check_nu_dim
-
-        if isinstance(self.driver, DenseDriver):
-            return nu_coefficients(self.driver.pmf, self.p)
         _check_nu_dim(self.d)  # before the 2^d dense expansion below
-        # Sparse and exchangeable drivers share the atom route.
-        atoms = self.driver.atoms()
         values = [Fraction(0)] * (1 << self.d)
-        for m, w in atoms:
+        for m, w in self.driver.atoms():
             values[m] += w
         return nu_coefficients(BernoulliPmf(self.d, tuple(values)), self.p)
 
@@ -92,15 +88,10 @@ class GfgmSpec:
         return self.driver.pair_joint11(j1, j2) - self.p[j1 - 1] * self.p[j2 - 1]
 
     def to_json(self) -> dict:
-        from .bernoulli import format_fraction
-
         return {"p": [format_fraction(q) for q in self.p], "driver": self.driver.to_json()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "GfgmSpec":
-        from .bernoulli import json_field, json_rationals
-        from .drivers import driver_from_json
-
         return cls(json_rationals(obj, "p"), driver_from_json(json_field(obj, "driver", dict,
                                                                         "an object")))
 
@@ -130,16 +121,9 @@ def copula_cdf(spec: GfgmSpec, u, method: str = "mixture") -> np.ndarray | float
     if method == "nu":
         out = _cdf_nu(spec, pts)
     else:
-        f0, f1 = _conditional_values(spec, pts)
-        out = spec.driver.mix(f0.T, f1.T)
+        p = np.array([float(q) for q in spec.p])  # one parameter per column of pts
+        out = spec.driver.mix(v0_cdf(pts, p).T, v0v1_cdf(pts, p).T)
     return float(out[0]) if scalar else out
-
-
-def _conditional_values(spec: GfgmSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p = np.array([float(q) for q in spec.p])
-    f0 = np.power(pts, 1.0 / (1.0 - p))
-    f1 = pts / p - ((1.0 - p) / p) * f0
-    return f0, f1
 
 
 def _cdf_nu(spec: GfgmSpec, pts: np.ndarray) -> np.ndarray:
@@ -275,19 +259,10 @@ def spearman_rho(spec: GfgmSpec, j1: int, j2: int) -> float:
 
 def spearman_bounds(p1, p2) -> tuple[float, float]:
     """Sharp Spearman range for the pair, from the covariance bounds."""
-    from .bernoulli import as_fraction, covariance_bounds
-
     a, b = as_fraction(p1), as_fraction(p2)
     lo, hi = covariance_bounds([a, b], 1, 2)
     denom = (2 - a) * (2 - b)
     return float(3 * lo / denom), float(3 * hi / denom)
-
-
-def margin_gap_product(margins: list[Margin], p, j1: int, j2: int) -> float:
-    """(E[Z1]-E[Z0]) factor product entering the covariance of a coupled pair."""
-    e0a, e1a = margins[j1 - 1].z_means(p[j1 - 1])
-    e0b, e1b = margins[j2 - 1].z_means(p[j2 - 1])
-    return (e1a - e0a) * (e1b - e0b)
 
 
 def pearson_x(spec: GfgmSpec, margins: list[Margin], j1: int, j2: int) -> float:
@@ -299,5 +274,7 @@ def pearson_x(spec: GfgmSpec, margins: list[Margin], j1: int, j2: int) -> float:
     var1, var2 = margins[j1 - 1].var, margins[j2 - 1].var
     if not (np.isfinite(var1) and np.isfinite(var2)) or var1 <= 0 or var2 <= 0:
         raise ValueError("pearson correlation needs finite positive margin variances")
-    gamma = margin_gap_product(margins, spec.p, j1, j2)
+    e0a, e1a = margins[j1 - 1].z_means(spec.p[j1 - 1])
+    e0b, e1b = margins[j2 - 1].z_means(spec.p[j2 - 1])
+    gamma = (e1a - e0a) * (e1b - e0b)
     return float(spec.cov_indicators(j1, j2)) * gamma / math.sqrt(var1 * var2)

@@ -30,6 +30,7 @@ from statistics import NormalDist
 import numpy as np
 
 _CDF_SLACK = 1e-12
+_QUANTILE_TOL = 1e-10  # mixed-Erlang quantiles: the bracket width at which the search stops
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # log j! - log(sqrt(2 pi j) (j/e)^j) at j = 1..15; from 16 on the Stirling series holds to 1e-16
 _STIRLING_ERRORS = [math.lgamma(j + 1.0) - (j + 0.5) * math.log(j) + j - _HALF_LOG_2PI
@@ -227,7 +228,7 @@ class MixedErlangDistribution:
         self.eta = np.clip(eta[kept[0]: kept[-1] + 1], 0.0, None)
         self.shapes = np.arange(shape_offset + kept[0], shape_offset + kept[-1] + 1.0)
         self.tail_mass = float(tail_mass)
-        self._quantiles: dict[tuple[float, float], float] = {}
+        self._quantiles: dict[float, float] = {}
         self._exact_log_mgf, self._exact_variance = log_mgf, variance
 
     @cached_property
@@ -294,22 +295,29 @@ class MixedErlangDistribution:
         dens, moment = float(below @ self.eta), float(below @ self._eta_shape_less_one)
         return cdf, self.beta * dens, self.beta * (moment / x - self.beta * dens)
 
-    def quantile(self, level: float, tol: float = 1e-10) -> float:
-        """inf{x : F(x) >= level} within ``tol``, by bracketed Newton steps.
+    def quantile(self, level: float) -> float:
+        """inf{x : F(x) >= level} within tol = ``_QUANTILE_TOL``, by bracketed Newton steps.
 
         Steps carry Halley's curvature correction and shrink a bracket
         lo < q <= hi; a step out of it, and every step after the 30th, is a
         bisection (a doubling while hi is unknown).  Steps shorter than tol/2
         are stretched to tol/2, so the next evaluation closes the bracket;
         the answer is its upper end, which is within tol or one float of the
-        quantile.  Answers are kept per level; a cdf that is not finite (a
-        non-finite rate) raises ArithmeticError instead of stepping forever.
+        quantile.  Answers are kept per level.  F stays below the kept weight
+        sum(eta) at every finite x, so a level at or above it has no finite
+        quantile and is refused with a ValueError.  A cdf that is not finite
+        (a non-finite rate), or a bracket that leaves the finite floats,
+        raises ArithmeticError instead of stepping forever.
         """
         if not 0 < level < 1:
             raise ValueError("level must be inside (0,1)")
-        key = (level, tol)
-        if key in self._quantiles:
-            return self._quantiles[key]
+        if level in self._quantiles:
+            return self._quantiles[level]
+        kept = self._sums[3]
+        if level >= kept:
+            raise ValueError(f"level {level!r} is at or above the mass {kept!r} that the truncated "
+                             "mixed-Erlang weights keep: its quantile is not finite")
+        tol = _QUANTILE_TOL
         mean, sd = self.mean(), math.sqrt(max(self._weights_variance(), 0.0))
         lo, hi, x = 0.0, math.inf, max(mean + sd * NormalDist().inv_cdf(level), 0.5 * mean)
         for steps in itertools.count(1):
@@ -326,7 +334,9 @@ class MixedErlangDistribution:
             x -= math.copysign(max(abs(step), 0.5 * tol), step)
             if steps >= 30 or not lo < x < hi:
                 x = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo + mean
-        self._quantiles[key] = hi
+            if not math.isfinite(x):
+                raise ArithmeticError(f"mixed-Erlang quantile at level {level!r} left the floats")
+        self._quantiles[level] = hi
         return hi
 
     def stop_loss(self, t: float) -> float:

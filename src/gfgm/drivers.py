@@ -16,14 +16,16 @@ in ``mix``.
 Given the driver, the coordinates are independent, so the copula cdf, the
 law of a heterogeneous sum and the Euler allocation vectors are all one
 driver-weighted mixture of coordinatewise products.  Each representation
-computes it with ``mix(a, b)``: dense and sparse drivers loop over their
-atoms, the exchangeable driver uses an elementary-symmetric recursion.
+computes it with ``mix(a, b)``.  Dense and sparse drivers differ only in how
+they store their atoms: both take margins, sum law, pair joints, ``mix`` and
+sampling from one implementation over ``atoms()``, which loops over the
+atoms.  The exchangeable driver uses an elementary-symmetric recursion
+instead, with each mask of k ones weighing ``SumPmf.mask_weights()[k]``.
 ``DriverStack`` mixes many drivers at once, one atom rank at a time.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,38 +42,58 @@ class BlockConstructionError(ValueError):
     """Raised when no consecutive-run block construction exists for (d, p)."""
 
 
+class _AtomAnswers:
+    """What a driver answers from its (mask, weight) atoms, ``self.atoms()``."""
+
+    def margins(self) -> tuple[Fraction, ...]:
+        return atom_margins(self.d, self.atoms())
+
+    def sum_pmf(self) -> SumPmf:
+        return atom_sum_pmf(self.d, self.atoms())
+
+    def pair_joint11(self, j1: int, j2: int) -> Fraction:
+        b1, b2 = j1 - 1, j2 - 1
+        return sum(
+            (w for m, w in self.atoms() if (m >> b1) & 1 and (m >> b2) & 1),
+            Fraction(0),
+        )
+
+    def mix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """sum over atoms (mask, w) of w * prod_j (b[j] if bit j of mask else a[j])."""
+        dtype = np.result_type(a, b, float)
+        a, b = np.asarray(a, dtype), np.asarray(b, dtype)
+        out = np.zeros(a.shape[1:], dtype)
+        for mask, w in self.atoms():
+            # a new array, or a numpy scalar when a and b are vectors (0-d arrays are slow)
+            term = float(w) * (b[0] if mask & 1 else a[0])
+            for j in range(1, a.shape[0]):
+                term *= b[j] if (mask >> j) & 1 else a[j]
+            out += term
+        return out
+
+    def sample_indicators(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        atoms = self.atoms()
+        picks = pick_atoms([float(w) for _, w in atoms], atom_uniforms(rng, n))
+        return _mask_bits([m for m, _ in atoms], self.d)[picks]
+
+
 @dataclass(frozen=True)
-class DenseDriver:
+class DenseDriver(_AtomAnswers):
     pmf: BernoulliPmf
 
     @property
     def d(self) -> int:
         return self.pmf.d
 
-    def margins(self) -> tuple[Fraction, ...]:
-        return self.pmf.margins()
-
-    def sum_pmf(self) -> SumPmf:
-        return atom_sum_pmf(self.d, self.atoms())
-
     def atoms(self) -> list[tuple[int, Fraction]]:
         return self.pmf.atoms()
-
-    def pair_joint11(self, j1: int, j2: int) -> Fraction:
-        return _pair_from_atoms(self.atoms(), j1, j2)
-
-    def mix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return _mix_atoms(self.atoms(), a, b)
-
-    def sample_indicators(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return _sample_from_atoms(self.atoms(), self.d, rng, n)
 
     def to_json(self) -> dict:
         return {"type": "dense", **self.pmf.to_json()}
 
 
 @dataclass(frozen=True)
-class AtomDriver:
+class AtomDriver(_AtomAnswers):
     d: int
     atom_list: tuple[tuple[int, Fraction], ...]
 
@@ -83,23 +105,8 @@ class AtomDriver:
             raise ValueError("atom weights must be a probability vector")
         object.__setattr__(self, "atom_list", atoms)
 
-    def margins(self) -> tuple[Fraction, ...]:
-        return atom_margins(self.d, self.atom_list)
-
-    def sum_pmf(self) -> SumPmf:
-        return atom_sum_pmf(self.d, self.atom_list)
-
     def atoms(self) -> list[tuple[int, Fraction]]:
         return list(self.atom_list)
-
-    def pair_joint11(self, j1: int, j2: int) -> Fraction:
-        return _pair_from_atoms(self.atom_list, j1, j2)
-
-    def mix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return _mix_atoms(self.atom_list, a, b)
-
-    def sample_indicators(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return _sample_from_atoms(self.atom_list, self.d, rng, n)
 
     def to_json(self) -> dict:
         return {
@@ -140,13 +147,8 @@ class ExchangeableDriver:
                 f"exchangeable atom expansion needs up to 2^{self.d} atoms; "
                 f"cap is d={_ATOM_EXPANSION_CAP}"
             )
-        out = []
-        for m in range(1 << self.d):
-            k = m.bit_count()
-            w = self.sum_dist.values[k]
-            if w:
-                out.append((m, w / math.comb(self.d, k)))
-        return out
+        weights = self.sum_dist.mask_weights()
+        return [(m, weights[m.bit_count()]) for m in range(1 << self.d) if weights[m.bit_count()]]
 
     def pair_joint11(self, j1: int, j2: int) -> Fraction:
         d = self.d
@@ -171,7 +173,7 @@ class ExchangeableDriver:
             upper = coeffs[: min(j + 1, top)] * b[j]
             coeffs[: j + 1] *= a[j]
             coeffs[1 : upper.shape[0] + 1] += upper
-        weights = [float(values[k] / math.comb(self.d, k)) for k in range(top + 1)]
+        weights = [float(w) for w in self.sum_dist.mask_weights()[: top + 1]]
         return np.tensordot(weights, coeffs, axes=1)
 
     def sample_indicators(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -218,28 +220,6 @@ def sigma_cx_smallest_blocks(d: int, p) -> AtomDriver:
     return AtomDriver(d, tuple((mask, Fraction(1, q)) for mask in runs))
 
 
-def _pair_from_atoms(atoms, j1: int, j2: int) -> Fraction:
-    b1, b2 = j1 - 1, j2 - 1
-    return sum(
-        (w for m, w in atoms if (m >> b1) & 1 and (m >> b2) & 1),
-        Fraction(0),
-    )
-
-
-def _mix_atoms(atoms, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum over atoms (mask, w) of w * prod_j (b[j] if bit j of mask else a[j])."""
-    dtype = np.result_type(a, b, float)
-    a, b = np.asarray(a, dtype), np.asarray(b, dtype)
-    out = np.zeros(a.shape[1:], dtype)
-    for mask, w in atoms:
-        # a new array, or a numpy scalar when a and b are vectors (0-d arrays are slow)
-        term = float(w) * (b[0] if mask & 1 else a[0])
-        for j in range(1, a.shape[0]):
-            term *= b[j] if (mask >> j) & 1 else a[j]
-        out += term
-    return out
-
-
 def _mask_bits(masks, d: int) -> np.ndarray:
     """(len(masks), d) uint8 array whose row i holds bits 0..d-1 of masks[i], at any d."""
     width = (d + 7) // 8
@@ -253,7 +233,7 @@ class DriverStack:
 
     Dense and sparse drivers are sorted by atom count, and step s mixes the
     s-th atom of every driver that has one, with the products and sums of
-    ``_mix_atoms`` in the same order.  A lone driver, of any kind, goes
+    their shared ``mix`` in the same order.  A lone driver, of any kind, goes
     through its own ``mix``.
     """
 
@@ -312,11 +292,6 @@ def atom_cuts(weights, sorted_v: np.ndarray) -> np.ndarray:
     """Where each atom's rows end in sorted uniforms: ``pick_atoms`` gives atom k to the
     rows ``cuts[k-1]:cuts[k]``, since ``cdf[k-1] <= V < cdf[k]`` is a contiguous run."""
     return sorted_v.searchsorted(_atom_cdf(weights), side="left")
-
-
-def _sample_from_atoms(atoms, d: int, rng: np.random.Generator, n: int) -> np.ndarray:
-    picks = pick_atoms([float(w) for _, w in atoms], atom_uniforms(rng, n))
-    return _mask_bits([m for m, _ in atoms], d)[picks]
 
 
 def as_driver(obj) -> Driver:

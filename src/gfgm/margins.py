@@ -29,7 +29,10 @@ from .bernoulli import json_field, json_int, json_value
 from .distributions import LatticeDistribution
 
 
-def _p_float(p) -> float:
+def _p_float(p) -> float | np.ndarray:
+    """p as a float; an array of parameters, one per column of u, as a float array."""
+    if isinstance(p, np.ndarray):
+        return p.astype(float)
     if isinstance(p, Fraction):
         return float(p)
     return float(Fraction(p)) if isinstance(p, str) else float(p)

@@ -12,11 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from .aggregation import aggregate_discrete_general
 from .bernoulli import BernoulliPmf
 from .bounds import bounds_common_p, convex_bounds_fast, var_bounds_common_p
 from .drivers import DenseDriver
 from .margins import DiscreteMargin, ExponentialMargin, UniformMargin
-from .measures import frechet_var_bounds
+from .measures import evaluate, frechet_var_bounds, std as std_measure
 
 FGM_GRID_H = 5.0 / 2.0**15
 
@@ -74,8 +77,6 @@ def example_final_margins() -> list[DiscreteMargin]:
 
 
 def counterexample_margins() -> list[DiscreteMargin]:
-    import numpy as np
-
     out = []
     for key in ("F1", "F2", "F3"):
         cdf = np.asarray(COUNTEREXAMPLE_CDFS[key])
@@ -265,9 +266,6 @@ def _compute_var_bounds_d100() -> list[DiffCell]:
 
 
 def _compute_example_sums_d3() -> list[DiffCell]:
-    from .aggregation import aggregate_discrete_general
-    from .measures import std as std_measure
-
     margins = counterexample_margins()
     cells = []
     for label in ("f", "f'", "f''"):
@@ -284,9 +282,6 @@ def _compute_example_sums_d3() -> list[DiffCell]:
 
 
 def _compute_example_final_d3() -> list[DiffCell]:
-    from .aggregation import aggregate_discrete_general
-    from .measures import evaluate
-
     margins = example_final_margins()
     cells = []
     measures = list(_FINAL_D3_EXPECTED)

@@ -46,6 +46,11 @@ class SumPmf:
         t = Fraction(t)
         return sum(((k - t) * v for k, v in enumerate(self.values) if k > t), Fraction(0))
 
+    def mask_weights(self) -> tuple[Fraction, ...]:
+        """g(k)/C(d, k), k = 0..d: the weight of each mask with k ones in the unique
+        exchangeable Bernoulli pmf whose component sum has this law g."""
+        return tuple(v / math.comb(self.d, k) for k, v in enumerate(self.values))
+
     def support(self) -> list[int]:
         return [k for k, v in enumerate(self.values) if v != 0]
 
@@ -128,11 +133,6 @@ class ExtremalSumPoint:
         if self.is_degenerate:
             return SumPmf.degenerate(self.d, self.k1)
         return SumPmf.two_point(self.d, self.k1, self.k2, self.w1)
-
-    def describe(self) -> str:
-        if self.is_degenerate:
-            return f"point({self.k1})"
-        return f"pair({self.k1},{self.k2})"
 
 
 def _mean_brackets(d: int, p: Fraction) -> tuple[int, int, bool]:

@@ -167,6 +167,13 @@ class TestBounds:
         assert_one_line_usage_error(code, out, err)
         assert "d=4, p=0.999999 need 4.418e+07 Erlang stages" in err
 
+    def test_exponential_var_above_the_kept_mass_is_refused(self):
+        # the truncated stage weights keep 1 - 5.7e-13 here; the quantile search never ended
+        code, out, err = run_process("bounds", "--margin", "exp:0.1", "--d", "4", "--p", "1/3",
+                                     "--measures", "var:0.9999999999999", timeout=5)
+        assert_one_line_usage_error(code, out, err)
+        assert "at or above the mass" in err
+
     def test_format_is_not_a_bounds_option(self, capsys):
         code, out, err = run(capsys, "bounds", "--margin", "exp:0.1", "--d", "4", "--p", "1/2",
                              "--alpha", "0.9", "--fast", "--format", "csv")

@@ -20,6 +20,7 @@ from gfgm import (
     ExponentialMargin,
     GridDistribution,
     LatticeDistribution,
+    MixedErlangDistribution,
     UniformMargin,
     bounds_common_p,
     bounds_general_p,
@@ -249,6 +250,43 @@ def test_mixed_erlang_quantile_ends_at_float_resolution():
     slow = ConditionalLaws(ExponentialMargin(1e-6), 100, F(1, 2)).mix(g)
     fast = ConditionalLaws(ExponentialMargin(0.1), 100, F(1, 2)).mix(g)
     assert slow.quantile(0.95) == pytest.approx(1e5 * fast.quantile(0.95), rel=1e-12)
+
+
+def count_quantile_steps(monkeypatch, cdf_pdf):
+    """Steps of the quantile search go through ``cdf_pdf``; a search that does not end fails."""
+    steps = []
+
+    def counting(self, x):
+        steps.append(x)
+        assert len(steps) < 10_000, "the quantile search does not end"
+        return cdf_pdf(self, x)
+
+    monkeypatch.setattr(MixedErlangDistribution, "_cdf_pdf", counting)
+
+
+@pytest.mark.parametrize("level", [1 - 1e-13, 1 - 1e-12, 0.9999999999999999])
+def test_mixed_erlang_quantile_near_one_ends(level, monkeypatch):
+    # the truncated stage weights keep about 1 - 1e-12; a level above that doubled the
+    # bracket's lower end to inf and stepped forever
+    count_quantile_steps(monkeypatch, MixedErlangDistribution._cdf_pdf)
+    laws = ConditionalLaws(ExponentialMargin(0.1), 4, F(1, 3))
+    for pt in extremal_points(4, F(1, 3)):
+        dist = laws.mix(pt)
+        kept = float(dist.eta.sum())
+        if level >= kept:
+            with pytest.raises(ValueError, match="at or above the mass"):
+                dist.quantile(level)
+        else:
+            q = dist.quantile(level)
+            assert math.isfinite(q) and dist.cdf(q) >= level
+
+
+def test_mixed_erlang_quantile_bracket_stays_finite(monkeypatch):
+    # a cdf that never reaches the level doubles the bracket's lower end until it overflows
+    dist = ConditionalLaws(ExponentialMargin(0.1), 4, F(1, 3)).mix(min_convex_point(4, F(1, 3)))
+    count_quantile_steps(monkeypatch, lambda self, x: (0.5, 0.0, 0.0))
+    with pytest.raises(ArithmeticError, match="left the floats"):
+        dist.quantile(0.9)
 
 
 def test_two_point_call_touches_at_most_four_rows():

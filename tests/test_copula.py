@@ -121,6 +121,26 @@ class TestCopulaCdf:
             b = copula_cdf(spec, pts, method="nu")
             assert np.max(np.abs(a - b)) < 1e-12
 
+    def test_mixture_route_is_the_driver_mix_of_the_split_cdfs(self):
+        # the split cdfs as the mixture route computed them in place, all columns in one
+        # power call: a per-column power with a scalar exponent of 2 rounds differently
+        def conditional_values(spec, pts):
+            p = np.array([float(q) for q in spec.p])
+            f0 = np.power(pts, 1.0 / (1.0 - p))
+            return f0, pts / p - ((1.0 - p) / p) * f0
+
+        rng = np.random.default_rng(11)
+        specs = [r1_spec(), spec_d2_comonotone(), spec_independent([F(1, 4), F(2, 5), F(1, 2)]),
+                 GfgmSpec.common("1/2", ExchangeableDriver(min_convex(9, F(1, 2)))),
+                 GfgmSpec.common("1/3", sigma_cx_smallest_blocks(7, F(1, 3)))]
+        for spec in specs:
+            pts = rng.random((300, spec.d))
+            pts[0], pts[1], pts[2] = 0.0, 1.0, 0.5
+            f0, f1 = conditional_values(spec, pts)
+            want = spec.driver.mix(f0.T, f1.T)
+            assert copula_cdf(spec, pts).tobytes() == want.tobytes()
+            assert copula_cdf(spec, pts[7]) == want[7]
+
     def test_exchangeable_route_matches_dense_expansion(self):
         g = SumPmf(5, tuple(F(x) for x in ["1/6", "0", "0", "5/6", "0", "0"]))
         drv = ExchangeableDriver(g)

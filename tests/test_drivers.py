@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from gfgm import AtomDriver, DenseDriver, ExchangeableDriver, enumerate_vertices, max_convex, min_convex
+from gfgm import (AtomDriver, BernoulliPmf, DenseDriver, ExchangeableDriver, as_driver,
+                  driver_from_json, enumerate_vertices, exchangeable_lift, max_convex, min_convex)
 from gfgm.drivers import DriverStack
 from gfgm.sums import SumPmf, extremal_points
 
@@ -96,3 +97,71 @@ class TestDriverStack:
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError, match="dimensions"):
             DriverStack([random_atom_driver(rng, 3, 2), random_atom_driver(rng, 4, 2)])
+
+
+def random_bernoulli_pmf(rng, d):
+    """A random rational pmf on {0,1}^d, about half of its entries zero."""
+    counts = rng.integers(0, 9, size=1 << d) * (rng.random(1 << d) < 0.5)
+    counts[rng.integers(0, 1 << d)] += 1
+    return BernoulliPmf(d, tuple(F(int(c), int(counts.sum())) for c in counts))
+
+
+def dense_and_sparse_pairs():
+    pmfs = enumerate_vertices([F(1, 2), F(1, 3), F(2, 3), F(1, 2)])
+    assert len(pmfs) == 146
+    rng = np.random.default_rng(314)
+    pmfs += [random_bernoulli_pmf(rng, d) for d in range(3, 7) for _ in range(5)]
+    return [(DenseDriver(pmf), AtomDriver(pmf.d, tuple(pmf.atoms()))) for pmf in pmfs]
+
+
+class TestDenseAndSparseAgree:
+    """Dense and sparse drivers of one pmf answer alike, from the atoms they share."""
+
+    def test_margins_sum_pmf_and_pair_joints(self):
+        for dense, sparse in dense_and_sparse_pairs():
+            assert dense.margins() == sparse.margins() == dense.pmf.margins()
+            assert dense.sum_pmf() == sparse.sum_pmf()
+            for j1 in range(1, dense.d + 1):
+                for j2 in range(j1 + 1, dense.d + 1):
+                    joint = sum((v for m, v in enumerate(dense.pmf.values)
+                                 if (m >> (j1 - 1)) & 1 and (m >> (j2 - 1)) & 1), F(0))
+                    assert dense.pair_joint11(j1, j2) == sparse.pair_joint11(j1, j2) == joint
+
+    @pytest.mark.parametrize("shape", [(7,), (5, 3)], ids=["complex-2d", "complex-3d"])
+    def test_mix_bit_for_bit(self, shape):
+        rng = np.random.default_rng(len(shape))
+        for dense, sparse in dense_and_sparse_pairs():
+            a, b = unit_disk(rng, (dense.d,) + shape), unit_disk(rng, (dense.d,) + shape)
+            assert bitwise_equal(dense.mix(a, b), sparse.mix(a, b))
+
+    def test_sample_streams_and_json(self):
+        for dense, sparse in dense_and_sparse_pairs():
+            rows = dense.sample_indicators(np.random.default_rng(9), 50)
+            assert rows.shape == (50, dense.d)
+            assert np.array_equal(rows, sparse.sample_indicators(np.random.default_rng(9), 50))
+            assert dense.to_json()["type"] == "dense" and sparse.to_json()["type"] == "atoms"
+            assert driver_from_json(dense.to_json()) == dense
+            assert driver_from_json(sparse.to_json()) == sparse
+
+    def test_as_driver_wraps_pmfs(self):
+        pmf = enumerate_vertices([F(1, 2), F(1, 3), F(2, 3)])[5]
+        assert as_driver(pmf) == DenseDriver(pmf)
+        g = min_convex(7, F(2, 7))
+        assert as_driver(g) == ExchangeableDriver(g)
+        driver = AtomDriver(3, ((0, F(1, 2)), (7, F(1, 2))))
+        assert as_driver(driver) is driver
+        with pytest.raises(TypeError, match="list"):
+            as_driver([F(1, 2), F(1, 2)])
+
+
+class TestExchangeableAtoms:
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_atoms_are_the_lift(self, d):
+        rng = np.random.default_rng(d)
+        for p in (F(1, 3), F(1, 2), F(2, 3)):
+            g = random_sum_pmf(rng, d, p)
+            assert ExchangeableDriver(g).atoms() == exchangeable_lift(g).atoms()
+
+    def test_expansion_past_d20_refused(self):
+        with pytest.raises(ValueError, match="cap is d=20"):
+            ExchangeableDriver(min_convex(21, F(1, 3))).atoms()
