@@ -20,7 +20,6 @@ from .allocation import (
 )
 from .bernoulli import (
     BernoulliPmf,
-    MarginVector,
     as_fraction,
     comonotone_pmf,
     countermonotone_pmf,

@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
-from .sums import SumPmf, atom_margins, atom_sum_pmf
+from .sums import SumPmf, atom_margins, atom_pair_joint11, atom_sum_pmf
 
 RationalLike = Union[Fraction, int, str]
 
@@ -56,9 +56,11 @@ def json_value(value, kind, what: str, name: str):
 
 
 def json_field(obj, key: str, kind, what: str):
-    """``obj[key]``, checked by ``json_value``; ``obj`` must be a JSON object."""
-    return json_value(json_value(obj, dict, "a JSON object", f"the holder of {key!r}")[key],
-                      kind, what, repr(key))
+    """``obj[key]``, checked by ``json_value``; ``obj`` must be a JSON object that has the key."""
+    holder = json_value(obj, dict, "a JSON object", f"the holder of {key!r}")
+    if key not in holder:
+        raise ValueError(f"missing field {key!r}")
+    return json_value(holder[key], kind, what, repr(key))
 
 
 def json_int(obj, key: str) -> int:
@@ -84,49 +86,15 @@ def format_fraction(x: RationalLike) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _bit(mask: int, idx0: int) -> int:
-    return (mask >> idx0) & 1
-
-
-@dataclass(frozen=True)
-class MarginVector:
-    """Margin probabilities p_1..p_d, each a rational strictly inside (0,1)."""
-
-    probs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        probs = tuple(as_fraction(p) for p in self.probs)
-        for p in probs:
-            if not (0 < p < 1):
-                raise ValueError(f"margin probability {p} outside (0,1)")
-        object.__setattr__(self, "probs", probs)
-
-    @property
-    def d(self) -> int:
-        return len(self.probs)
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.probs)
-
-    def __getitem__(self, j: int) -> Fraction:
-        """Margin of coordinate j (1-based, matching the usual notation)."""
-        if not 1 <= j <= self.d:
-            raise IndexError(f"coordinate {j} out of range 1..{self.d}")
-        return self.probs[j - 1]
-
-
-def margin_vector(p: Union[MarginVector, Sequence[RationalLike], RationalLike], d: int | None = None) -> MarginVector:
-    """Build a MarginVector from a sequence, or replicate a scalar d times."""
-    if isinstance(p, MarginVector):
-        return p
+def margin_vector(p: Sequence[RationalLike]) -> tuple[Fraction, ...]:
+    """Margin probabilities p_1..p_d as exact rationals, each strictly inside (0,1)."""
     if isinstance(p, (Fraction, int, str)):
-        if d is None:
-            raise ValueError("scalar margin requires an explicit dimension")
-        return MarginVector((as_fraction(p),) * d)
-    return MarginVector(tuple(as_fraction(q) for q in p))
+        raise ValueError(f"a margin vector is a sequence, got the scalar {p!r}")
+    probs = tuple(as_fraction(q) for q in p)
+    for q in probs:
+        if not 0 < q < 1:
+            raise ValueError(f"margin probability {q} outside (0,1)")
+    return probs
 
 
 @dataclass(frozen=True)
@@ -162,12 +130,6 @@ class BernoulliPmf:
         """Nonzero entries as (mask, weight) pairs."""
         return [(m, v) for m, v in enumerate(self.values) if v]
 
-    def margin(self, j: int) -> Fraction:
-        """P(I_j = 1) for 1-based coordinate j."""
-        if not 1 <= j <= self.d:
-            raise IndexError(f"coordinate {j} out of range 1..{self.d}")
-        return self.margins()[j - 1]
-
     def margins(self) -> tuple[Fraction, ...]:
         return atom_margins(self.d, self.atoms())
 
@@ -201,11 +163,11 @@ def validate_membership(f: Union[BernoulliPmf, Sequence[RationalLike]], p) -> bo
     """
     d, values = _as_values(f)
     pv = margin_vector(p)
-    if pv.d != d:
-        raise ValueError(f"margin vector has length {pv.d}, pmf has dimension {d}")
+    if len(pv) != d:
+        raise ValueError(f"margin vector has length {len(pv)}, pmf has dimension {d}")
     if any(v < 0 for v in values) or sum(values) != 1:
         return False
-    return atom_margins(d, [(m, v) for m, v in enumerate(values) if v]) == pv.probs
+    return atom_margins(d, [(m, v) for m, v in enumerate(values) if v]) == pv
 
 
 def sum_pmf(f: BernoulliPmf) -> SumPmf:
@@ -222,23 +184,41 @@ def exchangeable_lift(g: SumPmf) -> BernoulliPmf:
     return BernoulliPmf(d, tuple(weights[m.bit_count()] for m in range(1 << d)))
 
 
-def nu_coefficient(f: BernoulliPmf, p, subset: Sequence[int]) -> Fraction:
+def _nu_values(f, p, subsets: list[tuple[int, ...]]) -> list[Fraction]:
+    """E[prod_{j in s} (I_j - p_j)/p_j] for each subset s of 1-based coordinates, exact.
+
+    ``f`` is a pmf or a driver: its ``d`` and its (mask, weight) ``atoms()``.  The
+    centered indicator of a coordinate is divided once per atom.
+    """
+    pv = margin_vector(p)
+    if f.d != len(pv):
+        raise ValueError("dimension mismatch between pmf and margins")
+    atoms = f.atoms()
+    columns = {j: [(Fraction((m >> (j - 1)) & 1) - pv[j - 1]) / pv[j - 1] for m, _ in atoms]
+               for j in set().union(*subsets)}
+    out = []
+    for subset in subsets:
+        total = Fraction(0)
+        for a, (_, w) in enumerate(atoms):
+            term = w
+            for j in subset:
+                term *= columns[j][a]
+            total += term
+        out.append(total)
+    return out
+
+
+def nu_coefficient(f, p, subset: Sequence[int]) -> Fraction:
     """Dependence coefficient E[prod_{j in subset} (I_j - p_j)/p_j], exact.
 
     ``subset`` holds 1-based coordinates, strictly increasing, size >= 2.
     """
-    pv = margin_vector(p)
     subset = tuple(subset)
     if len(subset) < 2 or list(subset) != sorted(set(subset)):
         raise ValueError(f"subset must be >=2 strictly increasing coordinates, got {subset}")
-    total = Fraction(0)
-    for m, v in f.atoms():
-        term = v
-        for j in subset:
-            pj = pv[j]
-            term *= (Fraction(_bit(m, j - 1)) - pj) / pj
-        total += term
-    return total
+    if subset[0] < 1 or subset[-1] > f.d:  # written out: coordinate 0 would read p_d
+        raise IndexError(f"subset {subset} outside the coordinates 1..{f.d}")
+    return _nu_values(f, p, [subset])[0]
 
 
 def _check_nu_dim(d: int):
@@ -246,33 +226,15 @@ def _check_nu_dim(d: int):
         raise ValueError(f"full coefficient map not offered for d={d} > {MAX_NU_DIM}")
 
 
-def nu_coefficients(f: BernoulliPmf, p) -> dict[tuple[int, ...], Fraction]:
-    """All dependence coefficients, keyed by the coordinate subset.
+def nu_coefficients(f, p) -> dict[tuple[int, ...], Fraction]:
+    """All dependence coefficients of a pmf or driver, keyed by the coordinate subset.
 
     Cost grows with 2^d times the support size, so the full map is only
     offered up to d = MAX_NU_DIM; use :func:`nu_coefficient` for single subsets.
     """
-    pv = margin_vector(p)
-    if f.d != pv.d:
-        raise ValueError("dimension mismatch between pmf and margins")
     _check_nu_dim(f.d)
-    atoms = f.atoms()
-    # Pre-divide the centered indicators once per coordinate.
-    centered = [
-        [(Fraction(_bit(m, j)) - pv.probs[j]) / pv.probs[j] for m, _ in atoms]
-        for j in range(f.d)
-    ]
-    out: dict[tuple[int, ...], Fraction] = {}
-    for k in range(2, f.d + 1):
-        for subset in combinations(range(f.d), k):
-            total = Fraction(0)
-            for a, (_, w) in enumerate(atoms):
-                term = w
-                for j in subset:
-                    term *= centered[j][a]
-                total += term
-            out[tuple(j + 1 for j in subset)] = total
-    return out
+    subsets = [s for k in range(2, f.d + 1) for s in combinations(range(1, f.d + 1), k)]
+    return dict(zip(subsets, _nu_values(f, p, subsets)))
 
 
 def pair_covariance(f: BernoulliPmf, p, j1: int, j2: int) -> tuple[Fraction, float]:
@@ -280,13 +242,9 @@ def pair_covariance(f: BernoulliPmf, p, j1: int, j2: int) -> tuple[Fraction, flo
     pv = margin_vector(p)
     if not 1 <= j1 < j2 <= f.d:
         raise IndexError(f"need 1 <= j1 < j2 <= {f.d}, got ({j1}, {j2})")
-    joint = sum(
-        (v for m, v in enumerate(f.values) if _bit(m, j1 - 1) and _bit(m, j2 - 1)),
-        Fraction(0),
-    )
-    cov = joint - pv[j1] * pv[j2]
-    denom = pv[j1] * (1 - pv[j1]) * pv[j2] * (1 - pv[j2])
-    return cov, float(cov) / math.sqrt(float(denom))
+    a, b = pv[j1 - 1], pv[j2 - 1]
+    cov = atom_pair_joint11(f.atoms(), j1, j2) - a * b
+    return cov, float(cov) / math.sqrt(float(a * (1 - a) * b * (1 - b)))
 
 
 def covariance_bounds(p, j1: int, j2: int) -> tuple[Fraction, Fraction]:
@@ -296,9 +254,9 @@ def covariance_bounds(p, j1: int, j2: int) -> tuple[Fraction, Fraction]:
     p_j1 (1 - p_j2), which assumes p_j1 <= p_j2.
     """
     pv = margin_vector(p)
-    if not 1 <= j1 < j2 <= pv.d:
-        raise IndexError(f"need 1 <= j1 < j2 <= {pv.d}, got ({j1}, {j2})")
-    a, b = pv[j1], pv[j2]
+    if not 1 <= j1 < j2 <= len(pv):
+        raise IndexError(f"need 1 <= j1 < j2 <= {len(pv)}, got ({j1}, {j2})")
+    a, b = pv[j1 - 1], pv[j2 - 1]
     lower = max(a + b - 1, Fraction(0)) - a * b
     upper = min(a, b) - a * b
     return lower, upper
@@ -308,27 +266,27 @@ def independence_pmf(p) -> BernoulliPmf:
     """Product pmf with independent Bernoulli(p_j) coordinates."""
     pv = margin_vector(p)
     values = []
-    for m in range(1 << pv.d):
+    for m in range(1 << len(pv)):
         w = Fraction(1)
-        for j in range(pv.d):
-            w *= pv.probs[j] if _bit(m, j) else 1 - pv.probs[j]
+        for j, q in enumerate(pv):
+            w *= q if (m >> j) & 1 else 1 - q
         values.append(w)
-    return BernoulliPmf(pv.d, tuple(values))
+    return BernoulliPmf(len(pv), tuple(values))
 
 
 def comonotone_pmf(p) -> BernoulliPmf:
     """Upper Fréchet bound: I_j = 1{U <= p_j} for a common uniform U."""
     pv = margin_vector(p)
-    order = sorted(range(pv.d), key=lambda j: pv.probs[j], reverse=True)
-    values = [Fraction(0)] * (1 << pv.d)
+    order = sorted(range(len(pv)), key=lambda j: pv[j], reverse=True)
+    values = [Fraction(0)] * (1 << len(pv))
     prev = Fraction(1)
     mask = 0
     for j in order:
-        values[mask] += prev - pv.probs[j]
-        prev = pv.probs[j]
+        values[mask] += prev - pv[j]
+        prev = pv[j]
         mask |= 1 << j
     values[mask] += prev
-    return BernoulliPmf(pv.d, tuple(values))
+    return BernoulliPmf(len(pv), tuple(values))
 
 
 def countermonotone_pmf(p1: RationalLike, p2: RationalLike) -> BernoulliPmf:

@@ -79,11 +79,12 @@ class RiskReport:
 
 
 def _normalize_measures(measures) -> list[Measure]:
-    out = []
-    for m in measures:
-        out.append(parse_measure(m) if isinstance(m, str) else m)
+    out = [parse_measure(m) if isinstance(m, str) else m for m in measures]
     if not out:
         raise ValueError("no measures requested")
+    labels = [m.label for m in out]
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"duplicate measures in {labels}: each label names one column")
     return out
 
 
@@ -152,10 +153,10 @@ def bounds_common_p(margin, d: int, p, measures, grid_h: float | None = None) ->
 
 def var_bounds_common_p(margin, d: int, p, alpha: float, grid_h: float | None = None):
     """(min, max, attaining labels) of the alpha-quantile over the class."""
-    report = bounds_common_p(margin, d, p, [Measure("var", alpha)], grid_h=grid_h)
-    label = f"var:{alpha:g}"
-    lo, lo_at = report.minima[label]
-    hi, hi_at = report.maxima[label]
+    measure = Measure("var", alpha)
+    report = bounds_common_p(margin, d, p, [measure], grid_h=grid_h)
+    lo, lo_at = report.minima[measure.label]
+    hi, hi_at = report.maxima[measure.label]
     return lo, hi, (lo_at, hi_at)
 
 
@@ -192,7 +193,7 @@ def bounds_general_p(
     vertex cap are refused: use the common-p path instead.
     """
     pv = margin_vector(p_vector)
-    d = pv.d
+    d = len(pv)
     if len(margins) != d:
         raise ValueError(f"need {d} margins, got {len(margins)}")
     measures = _normalize_measures(measures)
@@ -208,14 +209,14 @@ def bounds_general_p(
     rows = []
     mc_se = []
     if all_discrete:  # one split table, one stacked mixture per block of vertices
-        table = SplitTable(margins, pv.probs)
+        table = SplitTable(margins, pv)
         block = max(1, _STACK_NODES // table.length)
         for start in range(0, len(vertices), block):
             drivers = [DenseDriver(v) for v in vertices[start:start + block]]
             for dist in aggregate_discrete_general(margins, drivers, table=table):
                 rows.append([evaluate(dist, m) for m in measures])
     else:
-        draw = SharedDraw(pv.probs, margins, mc_n, seed)
+        draw = SharedDraw(pv, margins, mc_n, seed)
         for vertex in vertices:
             dist = EmpiricalDistribution(draw.sums(DenseDriver(vertex)))
             mc_se.append(math.sqrt(dist.variance()) / math.sqrt(mc_n))
@@ -231,4 +232,4 @@ def bounds_general_p(
         metadata["seed"] = seed
         metadata["mean_standard_errors"] = mc_se
     return _report(",".join(_margin_desc(m) for m in margins), d,
-                   [format_fraction(q) for q in pv.probs], measures, labels, rows, metadata)
+                   [format_fraction(q) for q in pv], measures, labels, rows, metadata)

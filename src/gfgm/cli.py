@@ -9,6 +9,7 @@ print floats with 10 significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -26,7 +27,7 @@ from .copula import GfgmSpec, sample_u, sample_x
 from .distributions import EmpiricalDistribution
 from .drivers import ExchangeableDriver, driver_from_json
 from .margins import DiscreteMargin, ExponentialMargin, UniformMargin, margin_from_json
-from .measures import es, parse_measure, var
+from .measures import Measure, es, parse_measure, var
 from .sums import extremal_points, min_convex
 from .vertices import enumerate_vertices
 
@@ -72,24 +73,13 @@ def _parse_margin(text: str):
 
 
 def _write_output(payload, out: str | None, fmt: str):
-    if fmt == "json":
-        text = json.dumps(payload, indent=2)
-        if out:
-            Path(out).write_text(text + "\n")
+    """JSON, or CSV from a (header, rows) payload, to the file ``out`` or to stdout."""
+    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
+        if fmt == "json":
+            fh.write(json.dumps(payload, indent=2) + "\n")
         else:
-            print(text)
-        return
-    # CSV payloads arrive as (header, rows).
-    header, rows = payload
-    if out:
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
+            header, rows = payload
+            csv.writer(fh).writerows([header, *rows])
 
 
 def _fmt(x: float) -> str:
@@ -269,14 +259,19 @@ def cmd_validate(args) -> int:
     se = np.sqrt(analytic.variance() / n)
     checks.append(("mean", mean_an, sample.mean(), abs(sample.mean() - mean_an) / se))
     q_emp = sample.quantile(alpha)
-    level_at_emp = float(analytic.cdf(q_emp))
-    z_var = abs(level_at_emp - alpha) / np.sqrt(alpha * (1 - alpha) / n)
-    checks.append((f"var:{alpha:g}", var(analytic, alpha), q_emp, z_var))
+    # q_emp is an alpha-quantile of the analytic law iff F(q_emp-) <= alpha <= F(q_emp), so
+    # the score is alpha's distance from that interval: on an integer lattice F jumps at
+    # the nodes by their atoms, and other laws are continuous
+    at = float(analytic.cdf(q_emp))
+    below = float(analytic.cdf(np.ceil(q_emp) - 1)) if analytic.kind == "lattice" else at
+    z_var = max(below - alpha, alpha - at, 0.0) / np.sqrt(alpha * (1 - alpha) / n)
+    checks.append((Measure("var", alpha).label, var(analytic, alpha), q_emp, z_var))
     es_an = es(analytic, alpha)
     tail = np.clip(sample.samples - var(analytic, alpha), 0.0, None)
     se_es = np.std(tail, ddof=1) / ((1 - alpha) * np.sqrt(n))
     es_emp = es(sample, alpha)
-    checks.append((f"es:{alpha:g}", es_an, es_emp, abs(es_emp - es_an) / max(se_es, 1e-300)))
+    checks.append((Measure("es", alpha).label, es_an, es_emp,
+                   abs(es_emp - es_an) / max(se_es, 1e-300)))
 
     grid = np.linspace(0.0, float(np.max(sample.samples)), 512)
     ks = float(np.max(np.abs(np.asarray(analytic.cdf(grid)) - np.asarray(sample.cdf(grid)))))

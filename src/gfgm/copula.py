@@ -5,11 +5,11 @@ distribution whose margins are exactly p.  The copula is the joint cdf of
 
     U_j = U0_j^(1 - p_j) * U1_j^(I_j),
 
-with U0, U1 independent uniform vectors independent of I.  Two evaluation
-routes are provided and cross-checked in the tests: the explicit expansion in
-the dependence coefficients nu, and the conditional mixture over the driver,
-``Driver.mix`` of the split cdfs ``margins.v0_cdf`` (given I_j = 0) and
-``margins.v0v1_cdf`` (given I_j = 1).  Sampling uses the stochastic
+with U0, U1 independent uniform vectors independent of I.  ``copula_cdf`` is
+the conditional mixture over the driver, ``Driver.mix`` of the split cdfs
+``margins.v0_cdf`` (given I_j = 0) and ``margins.v0v1_cdf`` (given I_j = 1).
+The explicit expansion in the dependence coefficients nu (``_cdf_nu``, small
+d) is the tests' reference route for it.  Sampling uses the stochastic
 representation directly (inverse transforms only, Philox counter-based
 streams), so output is reproducible given the seed and sample counts are
 deterministic.
@@ -25,9 +25,8 @@ import math
 
 import numpy as np
 
-from .bernoulli import (BernoulliPmf, _check_nu_dim, as_fraction, covariance_bounds,
-                        format_fraction, json_field, json_rationals, margin_vector,
-                        nu_coefficients)
+from .bernoulli import (as_fraction, covariance_bounds, format_fraction, json_field,
+                        json_rationals, margin_vector, nu_coefficients)
 from .drivers import (Driver, ExchangeableDriver, as_driver, atom_cuts, atom_uniforms,
                       driver_from_json)
 from .margins import Margin, v0_cdf, v0v1_cdf
@@ -50,13 +49,13 @@ class GfgmSpec:
     driver: Driver
 
     def __post_init__(self):
-        pv = margin_vector(self.p)
+        p = margin_vector(self.p)
         driver = as_driver(self.driver)
-        if driver.d != pv.d:
-            raise ValueError(f"driver dimension {driver.d} != margin vector length {pv.d}")
-        if driver.margins() != pv.probs:
+        if driver.d != len(p):
+            raise ValueError(f"driver dimension {driver.d} != margin vector length {len(p)}")
+        if driver.margins() != p:
             raise ValueError("driver margins do not match the parameter vector p")
-        object.__setattr__(self, "p", pv.probs)
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "driver", driver)
 
     @property
@@ -75,11 +74,7 @@ class GfgmSpec:
 
     @cached_property
     def _nu(self) -> dict[tuple[int, ...], Fraction]:
-        _check_nu_dim(self.d)  # before the 2^d dense expansion below
-        values = [Fraction(0)] * (1 << self.d)
-        for m, w in self.driver.atoms():
-            values[m] += w
-        return nu_coefficients(BernoulliPmf(self.d, tuple(values)), self.p)
+        return nu_coefficients(self.driver, self.p)
 
     def cov_indicators(self, j1: int, j2: int) -> Fraction:
         """Cov(I_j1, I_j2), exact."""
@@ -103,30 +98,24 @@ def _check_cube(u: np.ndarray, d: int):
         raise ValueError("points must lie inside the unit cube")
 
 
-def copula_cdf(spec: GfgmSpec, u, method: str = "mixture") -> np.ndarray | float:
+def copula_cdf(spec: GfgmSpec, u) -> np.ndarray | float:
     """Copula cdf at one point (shape (d,)) or a batch (shape (m, d)).
 
-    ``method`` selects the evaluation route: "mixture" conditions on the
-    driver, mixing products of the conditional cdfs with ``Driver.mix``
-    (cost proportional to the atom count, or O(d^2) for an exchangeable
-    driver), "nu" uses the coefficient expansion (small d).
+    Conditions on the driver, mixing products of the conditional cdfs with
+    ``Driver.mix``: cost proportional to the atom count, or O(d^2) for an
+    exchangeable driver.
     """
     u = np.asarray(u, dtype=float)
     scalar = u.ndim == 1
     pts = np.atleast_2d(u)
     _check_cube(pts, spec.d)
-    if method not in ("mixture", "nu"):
-        raise ValueError(f"unknown method {method!r}")
-
-    if method == "nu":
-        out = _cdf_nu(spec, pts)
-    else:
-        p = np.array([float(q) for q in spec.p])  # one parameter per column of pts
-        out = spec.driver.mix(v0_cdf(pts, p).T, v0v1_cdf(pts, p).T)
+    p = np.array([float(q) for q in spec.p])  # one parameter per column of pts
+    out = spec.driver.mix(v0_cdf(pts, p).T, v0v1_cdf(pts, p).T)
     return float(out[0]) if scalar else out
 
 
 def _cdf_nu(spec: GfgmSpec, pts: np.ndarray) -> np.ndarray:
+    """The copula cdf at the rows of pts from the nu expansion (the tests' reference)."""
     b = np.array([float(spec.b(j)) for j in range(1, spec.d + 1)])
     base = np.prod(pts, axis=1)
     one_minus = 1.0 - np.power(pts, b)
@@ -208,7 +197,7 @@ class SharedDraw:
     """
 
     def __init__(self, p, margins: list[Margin], n: int, seed: int = 0):
-        self.p = margin_vector(p).probs
+        self.p = margin_vector(p)
         d = len(self.p)
         _check_quantile_margins(margins, d)
         if n < 2:

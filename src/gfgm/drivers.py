@@ -33,7 +33,7 @@ import numpy as np
 
 from .bernoulli import (BernoulliPmf, as_fraction, format_fraction, json_field, json_int,
                         json_rational)
-from .sums import SumPmf, _check_dp, atom_margins, atom_sum_pmf
+from .sums import SumPmf, _check_dp, atom_margins, atom_pair_joint11, atom_sum_pmf
 
 _ATOM_EXPANSION_CAP = 20
 
@@ -52,11 +52,7 @@ class _AtomAnswers:
         return atom_sum_pmf(self.d, self.atoms())
 
     def pair_joint11(self, j1: int, j2: int) -> Fraction:
-        b1, b2 = j1 - 1, j2 - 1
-        return sum(
-            (w for m, w in self.atoms() if (m >> b1) & 1 and (m >> b2) & 1),
-            Fraction(0),
-        )
+        return atom_pair_joint11(self.atoms(), j1, j2)
 
     def mix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """sum over atoms (mask, w) of w * prod_j (b[j] if bit j of mask else a[j])."""

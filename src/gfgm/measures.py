@@ -42,7 +42,11 @@ class Measure:
 
     @property
     def label(self) -> str:
-        return self.kind if self.param is None else f"{self.kind}:{self.param:g}"
+        """``kind:param``, the parameter as ``:g`` when that reads back as it, else its repr."""
+        if self.param is None:
+            return self.kind
+        short = f"{self.param:g}"
+        return f"{self.kind}:{short if float(short) == self.param else repr(self.param)}"
 
     @property
     def is_convex(self) -> bool:

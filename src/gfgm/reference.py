@@ -197,55 +197,38 @@ class TableDiff:
         return [c for c in self.cells if not c.ok]
 
 
+def _point_cells(expected, labels, values, tol, by_point=False) -> list[DiffCell]:
+    """A cell ``measure/label`` per measure of ``expected`` and point label, measures
+    outer unless ``by_point``; ``expected``, ``values`` and ``tol`` are keyed by measure."""
+    points = range(len(labels))
+    keys = ([(m, i) for i in points for m in expected] if by_point
+            else [(m, i) for m in expected for i in points])
+    return [DiffCell(f"{m}/{labels[i]}", float(expected[m][i]), values[m][i], tol[m])
+            for m, i in keys]
+
+
 def _compute_bernoulli_d5() -> list[DiffCell]:
-    report = bounds_common_p("bernoulli", 5, "1/2", ["var:0.8", "es:0.8", "entropic:0.1"])
-    cells = []
-    for measure, expected in _BERNOULLI_D5_EXPECTED.items():
-        for i, label in enumerate(_POINTS_D5):
-            cells.append(
-                DiffCell(
-                    f"{measure}/{label}",
-                    float(expected[i]),
-                    report.values[measure][i],
-                    _BERNOULLI_D5_TOL[measure],
-                )
-            )
-    return cells
+    report = bounds_common_p("bernoulli", 5, "1/2", list(_BERNOULLI_D5_EXPECTED))
+    return _point_cells(_BERNOULLI_D5_EXPECTED, _POINTS_D5, report.values, _BERNOULLI_D5_TOL)
 
 
 def _compute_fgm_d5() -> list[DiffCell]:
-    report = bounds_common_p(
-        UniformMargin(), 5, "1/2", ["var:0.8", "es:0.8", "entropic:0.1"], grid_h=FGM_GRID_H
-    )
-    cells = []
-    for measure, expected in _FGM_D5_EXPECTED.items():
-        for i, label in enumerate(_POINTS_D5):
-            cells.append(
-                DiffCell(f"{measure}/{label}", expected[i], report.values[measure][i], 1e-2)
-            )
-    return cells
+    report = bounds_common_p(UniformMargin(), 5, "1/2", list(_FGM_D5_EXPECTED), grid_h=FGM_GRID_H)
+    return _point_cells(_FGM_D5_EXPECTED, _POINTS_D5, report.values,
+                        dict.fromkeys(_FGM_D5_EXPECTED, 1e-2))
 
 
 def _compute_cx_bounds_d100() -> list[DiffCell]:
+    measures = ["es:0.95", "entropic:0.001"]
     cells = []
     for family in ("exp", "discrete"):
         margin = ExponentialMargin(0.1) if family == "exp" else d100_discrete_margin()
-        tol = _CX_D100_TOL[family]
         for p in _PS_D100:
-            report = convex_bounds_fast(margin, 100, p, ["es:0.95", "entropic:0.001"])
-            exp_min_es, exp_max_es, exp_min_ent, exp_max_ent = _CX_D100_EXPECTED[family][p]
-            cells.extend(
-                [
-                    DiffCell(f"{family}/p={p}/min es:0.95", exp_min_es,
-                             report.minima["es:0.95"][0], tol),
-                    DiffCell(f"{family}/p={p}/max es:0.95", exp_max_es,
-                             report.maxima["es:0.95"][0], tol),
-                    DiffCell(f"{family}/p={p}/min entropic:0.001", exp_min_ent,
-                             report.minima["entropic:0.001"][0], tol),
-                    DiffCell(f"{family}/p={p}/max entropic:0.001", exp_max_ent,
-                             report.maxima["entropic:0.001"][0], tol),
-                ]
-            )
+            report = convex_bounds_fast(margin, 100, p, measures)
+            extrema = [(side, m, ends[m][0]) for m in measures
+                       for side, ends in (("min", report.minima), ("max", report.maxima))]
+            cells.extend(DiffCell(f"{family}/p={p}/{side} {m}", want, got, _CX_D100_TOL[family])
+                         for (side, m, got), want in zip(extrema, _CX_D100_EXPECTED[family][p]))
     return cells
 
 
@@ -283,20 +266,11 @@ def _compute_example_sums_d3() -> list[DiffCell]:
 
 def _compute_example_final_d3() -> list[DiffCell]:
     margins = example_final_margins()
-    cells = []
-    measures = list(_FINAL_D3_EXPECTED)
-    for i, label in enumerate(EXAMPLE_FINAL_VERTICES):
-        dist = aggregate_discrete_general(margins, example_final_driver(label))
-        for measure in measures:
-            cells.append(
-                DiffCell(
-                    f"{measure}/{label}",
-                    float(_FINAL_D3_EXPECTED[measure][i]),
-                    evaluate(dist, measure),
-                    5e-2,
-                )
-            )
-    return cells
+    labels = list(EXAMPLE_FINAL_VERTICES)
+    dists = [aggregate_discrete_general(margins, example_final_driver(label)) for label in labels]
+    values = {m: [evaluate(dist, m) for dist in dists] for m in _FINAL_D3_EXPECTED}
+    return _point_cells(_FINAL_D3_EXPECTED, labels, values, dict.fromkeys(values, 5e-2),
+                        by_point=True)
 
 
 _TABLES = {

@@ -97,6 +97,12 @@ def atom_margins(d: int, atoms) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, common) for x in out)
 
 
+def atom_pair_joint11(atoms, j1: int, j2: int) -> Fraction:
+    """P(I_j1 = I_j2 = 1), 1-based coordinates, of the pmf given as (mask, weight) atoms."""
+    both = (1 << (j1 - 1)) | (1 << (j2 - 1))
+    return sum((w for mask, w in atoms if mask & both == both), Fraction(0))
+
+
 def atom_sum_pmf(d: int, atoms) -> SumPmf:
     """Law of the component sum of the Bernoulli pmf given as (mask, weight) atoms."""
     values = [Fraction(0)] * (d + 1)

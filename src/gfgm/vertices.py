@@ -138,14 +138,14 @@ def enumerate_vertices(p) -> list[BernoulliPmf]:
     size at most d+1.
     """
     pv = margin_vector(p)
-    d = pv.d
+    d = len(pv)
     if d > MAX_DIM:
         raise EnumerationCapError(
             f"combinatorial blowup: vertex enumeration at d={d} needs "
             f"C({1 << d},{d + 1}) basis candidates; cap is d={MAX_DIM}"
         )
-    lcm = math.lcm(*(q.denominator for q in pv.probs))
-    rhs = [lcm] + [q.numerator * (lcm // q.denominator) for q in pv.probs]
+    lcm = math.lcm(*(q.denominator for q in pv))
+    rhs = [lcm] + [q.numerator * (lcm // q.denominator) for q in pv]
     table_cols, table_q, table_adj, max_adj = _basis_table(d)
     found: set[tuple[int, tuple[int, ...]]] = set()  # (q, y at every mask): x = y / (q L)
     for start in range(0, table_q.size, _CHUNK):

@@ -1,16 +1,20 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
 from gfgm import (
     BernoulliPmf,
+    DenseDriver,
     comonotone_pmf,
     countermonotone_pmf,
     covariance_bounds,
+    enumerate_vertices,
     exchangeable_lift,
     independence_pmf,
+    margin_vector,
     nu_coefficient,
     nu_coefficients,
     pair_covariance,
@@ -210,3 +214,46 @@ class TestAtomMargins:
 
     def test_no_atoms_give_zero_margins(self):
         assert atom_margins(3, []) == (F(0),) * 3
+
+
+class TestMarginVector:
+    @pytest.mark.parametrize("p", [F(1, 2), "1/2", 0, 1, "1/0", "1e-1",
+                                   [0], [1], [F(1, 2), F(3, 2)], [F(-1, 3)],
+                                   ["1/2", "1/0"], ["1e-1"], ["1/3", "2E-1"]])
+    def test_refused(self, p):
+        with pytest.raises(ValueError):
+            margin_vector(p)
+
+    def test_entries_are_exact_fractions(self):
+        assert tuple(margin_vector(["1/2", F(1, 3), "0.25"])) == (F(1, 2), F(1, 3), F(1, 4))
+
+
+def seeded_vertices(seed=7, per_p=6):
+    """A seeded handful of exact vertices at d = 3 and 4, with their margin vectors."""
+    rng = random.Random(seed)
+    for p in ([F(1, 2), F(1, 3), F(2, 3)], [F(1, 2), F(1, 3), F(2, 3), F(1, 4)]):
+        vertices = enumerate_vertices(p)
+        for f in rng.sample(vertices, min(per_p, len(vertices))):
+            yield f, p
+
+
+class TestFoldedAnswers:
+    """Each answer agrees with its other route: single against full ν map, pair
+    covariance against the driver's pair joint."""
+
+    def test_single_nu_is_the_entry_of_the_full_map(self):
+        for f, p in seeded_vertices():
+            for subset, value in nu_coefficients(f, p).items():
+                assert nu_coefficient(f, p, subset) == value
+
+    @pytest.mark.parametrize("subset", [(0, 1), (1, 4), (2, 3, 4)])
+    def test_subset_outside_the_coordinates_is_refused(self, subset):
+        f, p = vertex("r1"), [F(1, 2), F(1, 3), F(2, 3)]
+        with pytest.raises(IndexError):
+            nu_coefficient(f, p, subset)
+
+    def test_pair_covariance_is_the_pair_joint_less_the_product(self):
+        for f, p in seeded_vertices():
+            for j1, j2 in combinations(range(1, f.d + 1), 2):
+                expected = DenseDriver(f).pair_joint11(j1, j2) - p[j1 - 1] * p[j2 - 1]
+                assert pair_covariance(f, p, j1, j2)[0] == expected

@@ -53,6 +53,18 @@ class TestCommonP:
             assert values[report.point_labels.index(lo_at)] == lo
             assert values[report.point_labels.index(hi_at)] == hi
 
+    @pytest.mark.parametrize("measures", [["var:0.95", "var:0.95"], ["es:0.9", "std", "es:0.90"]])
+    def test_duplicate_labels_are_refused(self, measures):
+        with pytest.raises(ValueError, match="duplicate"):
+            bounds_common_p("bernoulli", 4, F(1, 2), measures)
+
+    def test_close_levels_get_a_column_each(self):
+        report = bounds_common_p(ExponentialMargin(0.1), 4, F(1, 3),
+                                 ["var:0.9999991", "var:0.9999992"])
+        assert report.measures == ["var:0.9999991", "var:0.9999992"]
+        assert len(report.values) == 2
+        assert report.values["var:0.9999991"] != report.values["var:0.9999992"]
+
     def test_to_json_schema(self):
         report = bounds_common_p("bernoulli", 4, F(1, 2), ["es:0.9"])
         payload = json.loads(json.dumps(report.to_json()))

@@ -229,6 +229,27 @@ class TestBounds:
                                          "--d", "3", "--p", "1/2", "--measures", "std"))
 
 
+    def test_missing_margin_field_is_named(self, capsys, tmp_path):
+        path = tmp_path / "margin.json"
+        path.write_text(json.dumps({"pmf": [0.5, 0.5]}))
+        code, out, err = run(capsys, "bounds", "--margin", f"discrete:{path}", "--d", "3",
+                             "--p", "1/2", "--measures", "std")
+        assert_one_line_usage_error(code, out, err)
+        assert "missing" in err and "'type'" in err
+
+    def test_close_levels_are_reported_apart(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--margin", "exp:0.1", "--d", "4", "--p", "1/3",
+                           "--measures", "var:0.9999991,var:0.9999992")
+        assert code == 0
+        report = json.loads(out)
+        assert report["measures"] == ["var:0.9999991", "var:0.9999992"]
+        assert sorted(report["values"]) == report["measures"]
+
+    def test_duplicate_measures_are_usage_error(self, capsys):
+        assert_one_line_usage_error(*run(capsys, "bounds", "--margin", "exp:0.1", "--d", "4",
+                                         "--p", "1/3", "--measures", "es:0.9,es:0.90"))
+
+
 class TestAllocate:
     def test_csv_output(self, capsys, tmp_path):
         portfolio = {
@@ -371,6 +392,34 @@ class TestSampleAndValidate:
         payload = json.loads(out)
         assert code == 0
         assert payload["pass"] is True
+
+    @staticmethod
+    def lattice_spec_file(tmp_path, p, d=4):
+        from fractions import Fraction
+        from gfgm import min_convex
+
+        spec = {
+            "p": [p] * d,
+            "driver": {"type": "exchangeable", "sum": min_convex(d, Fraction(p)).to_json()},
+            "margins": [{"type": "discrete", "power": {"a": 0.2, "c": 3, "n": 50}}] * d,
+        }
+        path = tmp_path / "lattice-spec.json"
+        path.write_text(json.dumps(spec))
+        return path
+
+    @pytest.mark.parametrize("p, seeds", [("2/3", (3, 4, 5)), ("1/3", (3,))])
+    def test_validate_scores_var_on_a_lattice_by_the_atom(self, capsys, tmp_path, p, seeds):
+        # alpha inside the jump of F at the empirical quantile is no error
+        path = self.lattice_spec_file(tmp_path, p)
+        for seed in seeds:
+            code, out, _ = run(capsys, "validate", "--spec", str(path), "--n", "200000",
+                               "--seed", str(seed))
+            payload = json.loads(out)
+            var_check = payload["checks"][1]
+            assert var_check["name"] == "var:0.95"
+            assert var_check["analytic"] == var_check["empirical"]
+            assert var_check["z"] <= 2.576
+            assert code == 0 and payload["pass"] is True
 
     def test_validate_uniform_margins_default(self, capsys, tmp_path):
         path = self.spec_file(tmp_path, with_margins=False)

@@ -19,6 +19,8 @@ from gfgm import (
     copula_cdf,
     independence_pmf,
     min_convex,
+    nu_coefficient,
+    nu_coefficients,
     pearson_x,
     sample_u,
     sample_x,
@@ -27,6 +29,7 @@ from gfgm import (
     spearman_rho,
 )
 from gfgm.bernoulli import BernoulliPmf
+from gfgm.copula import _cdf_nu
 from gfgm.reference import EXAMPLE_FINAL_VERTICES, example_final_margins
 from gfgm.sums import SumPmf
 
@@ -74,6 +77,29 @@ class TestSpecValidation:
         assert again.sum_pmf() == driver.sum_pmf()
 
 
+class TestSpecNu:
+    """The spec's ν map is the driver's, entry by entry, whatever the driver stores."""
+
+    @staticmethod
+    def drivers():
+        yield sigma_cx_smallest_blocks(6, F(1, 3))
+        yield AtomDriver(4, ((0b0011, F(1, 4)), (0b1100, F(1, 4)), (0b0101, F(1, 4)),
+                             (0b1010, F(1, 8)), (0b1010, F(1, 8))))
+        yield ExchangeableDriver(min_convex(5, F(1, 2)))
+        yield ExchangeableDriver(SumPmf(4, (F(1, 8), F(1, 4), F(1, 4), F(1, 4), F(1, 8))))
+
+    def test_nu_of_atom_and_exchangeable_drivers(self):
+        for driver in self.drivers():
+            spec = GfgmSpec(driver.margins(), driver)
+            values = [F(0)] * (1 << driver.d)
+            for m, w in driver.atoms():
+                values[m] += w
+            dense = BernoulliPmf(driver.d, tuple(values))
+            assert spec._nu == nu_coefficients(dense, spec.p)
+            for subset, value in spec._nu.items():
+                assert nu_coefficient(dense, spec.p, subset) == value
+
+
 class TestCopulaCdf:
     def test_independence_is_product(self):
         spec = spec_independent([F(1, 3), F(1, 2), F(2, 3)])
@@ -102,7 +128,7 @@ class TestCopulaCdf:
 
         monkeypatch.setattr(AtomDriver, "atoms", expand)
         with pytest.raises(ValueError, match="d=21"):
-            copula_cdf(spec, np.full(d, 0.5), method="nu")
+            _cdf_nu(spec, np.full((1, d), 0.5))
 
     def test_nu_and_mixture_paths_agree(self):
         rng = np.random.default_rng(5)
@@ -117,8 +143,8 @@ class TestCopulaCdf:
         ]
         for spec in specs:
             pts = rng.random((40, spec.d))
-            a = copula_cdf(spec, pts, method="mixture")
-            b = copula_cdf(spec, pts, method="nu")
+            a = copula_cdf(spec, pts)
+            b = _cdf_nu(spec, pts)
             assert np.max(np.abs(a - b)) < 1e-12
 
     def test_mixture_route_is_the_driver_mix_of_the_split_cdfs(self):

@@ -203,6 +203,18 @@ class TestMeasureParsing:
         for text in ("var:0.95", "es:0.8", "entropic:0.001", "std"):
             assert parse_measure(text).label == text
 
+    @pytest.mark.parametrize("text", ["var:0.934", "es:0.95", "entropic:0.002453", "es:1e-05",
+                                      "entropic:12.5"])
+    def test_short_labels_stay_as_written(self, text):
+        assert parse_measure(text).label == text
+
+    def test_levels_that_agree_to_six_digits_keep_their_own_labels(self):
+        labels = [parse_measure(t).label for t in ("var:0.9999991", "var:0.9999992",
+                                                     "es:0.99999999999")]
+        assert labels == ["var:0.9999991", "var:0.9999992", "es:0.99999999999"]
+        for label in labels:
+            assert float(label.partition(":")[2]) == parse_measure(label).param
+
     def test_invalid_kind(self):
         with pytest.raises(ValueError):
             parse_measure("cvar:0.9")
