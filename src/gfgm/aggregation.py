@@ -31,8 +31,7 @@ E e^{gamma S} is then infinite.  Heterogeneous discrete margins need the whole
 driver, not just its sum: ``SplitTable`` holds their per-coordinate split
 laws, and the law of S is the inverse FFT of ``Driver.mix`` over the split
 spectra, with the log-mgf and variance again in closed form.  The same table
-gives the covariance matrix and the size-biased spectra that the Euler
-allocation mixes.
+gives the covariance matrix and mixes the Euler allocation vectors itself.
 """
 
 from __future__ import annotations
@@ -330,9 +329,8 @@ class ConditionalLaws:
         if self.h is not None:
             return self._laws(mixed[None], [pairs])[0]
         eta = mixed[: int(np.searchsorted(np.cumsum(mixed), 1.0 - _ETA_EPS)) + 1]
-        return MixedErlangDistribution(self.beta, self.d, eta, max(0.0, 1.0 - eta.sum()),
-                                       log_mgf=partial(self._log_mgf, pairs),
-                                       variance=self._variance(pairs))
+        return MixedErlangDistribution(self.beta, self.d, eta, variance=self._variance(pairs),
+                                       log_mgf=partial(self._log_mgf, pairs))
 
     def _mix_spectra(self, sum_pmfs) -> list[LatticeDistribution]:
         all_pairs = [_mixing_weights(g, self.d) for g in sum_pmfs]
@@ -361,8 +359,9 @@ class SplitTable:
       ``DriverStack`` mixture and one batched inverse FFT;
     * ``covariance(driver)``: Cov(X_k, X_l) from the split means and
       variances and the pair probabilities P(I_k = I_l = 1);
-    * ``spectra`` and ``size_biased``: the transforms of P(Z=k) and of
-      k P(Z=k), whose mixtures give the Euler allocation vectors.
+    * ``allocation(driver, risks)``: the Euler allocation vectors
+      E[X_j 1{S=y}], each the inverse FFT of one mixture in which row j's
+      split spectra give way to the transforms of k P(Z=k).
     """
 
     def __init__(self, margins, p):
@@ -394,17 +393,6 @@ class SplitTable:
             for which, pmf in enumerate(pair):
                 rows[which, j, : pmf.size] = np.arange(pmf.size) * pmf if size_biased else pmf
         return np.fft.rfft(rows, axis=2)
-
-    @property
-    def spectra(self) -> tuple[np.ndarray, np.ndarray]:
-        """Transforms of Z0_j and Z1_j, as two (d, length//2+1) views."""
-        n = self.length // 2 + 1
-        return self._columns[0][:, :n], self._columns[1][:, :n]
-
-    @cached_property
-    def size_biased(self) -> tuple[np.ndarray, np.ndarray]:
-        """Transforms of k P(Z0_j = k) and k P(Z1_j = k), built on first use."""
-        return tuple(self._transforms(size_biased=True))
 
     def _check(self, driver) -> None:
         if driver.d != self.d:
@@ -438,6 +426,22 @@ class SplitTable:
         """d x d matrix of Cov(X_k, X_l) under the driver; its sum is Var(S)."""
         self._check(driver)
         return self._covariance(driver.mix(*self._pair_columns).reshape(self.d, self.d))
+
+    def allocation(self, driver, risks) -> np.ndarray:
+        """E[X_j 1{S=y}] over the lattice of S for the 0-based ``risks``, one row each: one
+        mixture a risk of the split spectra, row j swapped for the transforms of k P(Z=k)."""
+        self._check(driver)
+        n = self.length // 2 + 1
+        z0, z1 = self._columns[0][:, :n], self._columns[1][:, :n]
+        s0, s1 = self._transforms(size_biased=True)
+        a, b = z0.copy(), z1.copy()
+        alloc_hat = []
+        for j in risks:
+            a[j], b[j] = s0[j], s1[j]
+            alloc_hat.append(driver.mix(a, b))
+            a[j], b[j] = z0[j], z1[j]
+        alloc = np.fft.irfft(np.array(alloc_hat), n=self.length)[:, : self.size]
+        return np.clip(alloc, 0.0, None)
 
     def law(self, driver) -> LatticeDistribution:
         return self.laws([driver])[0]

@@ -1,14 +1,11 @@
 """Capital decomposition for discrete portfolios under GFGM dependence.
 
-Everything is driven by the expected-allocation vectors E[X_j 1{S=y}]:
-conditioning on the driver makes the coordinates independent, so the
-vector's spectrum is the driver's mixture (``Driver.mix``) of the same
-products as the law of S, with coordinate j's split spectra replaced by
-their size-biased versions (transforms of k P(Z=k)).  That is one mixture
-for the law of S plus one for each requested risk, over the spectra of one
-``SplitTable`` per call: d + 1 for the full allocation, two for a single
-risk.  The Euler Std contributions are row sums of the same table's
-covariance matrix.
+Everything is driven by the expected-allocation vectors E[X_j 1{S=y}],
+which one ``SplitTable`` per call mixes over the driver
+(``SplitTable.allocation``): one mixture for the law of S plus one for each
+requested risk, d + 1 for the full allocation, two for a single risk.  The
+Euler ES contributions are tail sums of those vectors, and the Euler Std
+contributions row sums of the same table's covariance matrix.
 
 The three full-allocation identities,
 
@@ -48,22 +45,9 @@ def _portfolio(driver, margins) -> tuple[Driver, SplitTable]:
 
 
 def _allocation(driver, table: SplitTable, risks) -> tuple[np.ndarray, LatticeDistribution]:
-    """Vectors E[X_j 1{S=y}] for the 0-based ``risks``, plus the law of S.
-
-    One driver mixture gives the law of S and one more each risk: the
-    table's spectra with row j swapped for its size-biased spectra.
-    """
+    """Vectors E[X_j 1{S=y}] for the 0-based ``risks``, plus the law of S."""
     agg = table.law(driver)
-    z0, z1 = table.spectra
-    s0, s1 = table.size_biased
-    a, b = z0.copy(), z1.copy()
-    alloc_hat = []
-    for j in risks:
-        a[j], b[j] = s0[j], s1[j]
-        alloc_hat.append(driver.mix(a, b))
-        a[j], b[j] = z0[j], z1[j]
-    alloc = np.fft.irfft(np.array(alloc_hat), n=table.length)[:, : table.size]
-    return np.clip(alloc, 0.0, None), agg
+    return table.allocation(driver, risks), agg
 
 
 def expected_allocation_all(driver, margins) -> tuple[np.ndarray, LatticeDistribution]:
@@ -95,12 +79,8 @@ def _ces_from_alloc(alloc: np.ndarray, agg: LatticeDistribution, means, alpha: f
     cdf_v = float(agg.cdf(v))
     atom = float(agg.probs[v])
     beta_s = (cdf_v - alpha) / atom if atom > 0 else 0.0
-    ces = []
-    for j in range(alloc.shape[0]):
-        below = float(alloc[j][: v + 1].sum())
-        at = float(alloc[j][v])
-        ces.append((means[j] - below + beta_s * at) / (1.0 - alpha))
-    return ces, beta_s, v
+    below = alloc[:, : v + 1].sum(axis=1)
+    return ((np.asarray(means) - below + beta_s * alloc[:, v]) / (1.0 - alpha)).tolist(), beta_s, v
 
 
 def ces_alpha(j: int, driver, margins, alpha: float) -> float:
@@ -157,10 +137,10 @@ def allocation_report(driver, margins, alpha: float) -> AllocationReport:
     means = [m.mean for m in margins]
     ces, beta_s, v = _ces_from_alloc(alloc, agg, means, alpha)
     atom = float(agg.probs[v])
-    var_contrib = [float(alloc[j][v] / atom) if atom > 0 else float("nan") for j in range(driver.d)]
+    var_contrib = (alloc[:, v] / atom).tolist() if atom > 0 else [float("nan")] * driver.d
     cov = table.covariance(driver)
     std_s = _std(cov)
-    cstd_values = [float(cov[j].sum()) / std_s for j in range(driver.d)]
+    cstd_values = (cov.sum(axis=1) / std_s).tolist()
     return AllocationReport(
         alpha=alpha,
         var_s=float(v),

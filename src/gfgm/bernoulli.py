@@ -123,9 +123,6 @@ class BernoulliPmf:
             raise ValueError("pmf entries must sum to exactly 1")
         object.__setattr__(self, "values", values)
 
-    def __getitem__(self, mask: int) -> Fraction:
-        return self.values[mask]
-
     def atoms(self) -> list[tuple[int, Fraction]]:
         """Nonzero entries as (mask, weight) pairs."""
         return [(m, v) for m, v in enumerate(self.values) if v]

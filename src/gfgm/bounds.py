@@ -35,12 +35,17 @@ from .bernoulli import as_fraction, format_fraction, margin_vector
 from .copula import SharedDraw
 from .distributions import EmpiricalDistribution
 from .drivers import DenseDriver
-from .margins import DiscreteMargin, ExponentialMargin, Margin
+from .margins import DiscreteMargin, ExponentialMargin, Margin, UniformMargin
 from .measures import Measure, evaluate, parse_measure
 from .sums import extremal_points, max_convex_point, min_convex_point
 from .vertices import enumerate_vertices
 
 _CONVEX_CHECK_RTOL = 1e-9
+# Each point's mixed-Erlang law drops its own tail mass, at most 1e-12.  A VaR or ES level
+# whose 1 - alpha lies within this factor of the largest is refused: there a law may miss
+# over 1/1000 of the tail the measure reads, a different share at each point, so the points
+# cannot be compared.  With every mass at or below 1e-12, only 1 - alpha < 1e-9 is refused.
+_TAIL_MASS_FACTOR = 1e3
 # vertices x lattice length per stacked aggregation: 8 MB a float array, about 50 MB at peak
 _STACK_NODES = 1 << 20
 
@@ -92,16 +97,26 @@ def _margin_desc(margin) -> str:
     return margin if isinstance(margin, str) else margin.describe()
 
 
-def _evaluate_points(margin, d: int, p, points, measures, grid_h) -> list[list[float]]:
-    """Measure values per point, from one table of conditional laws for the call.  Points
-    mix rows, one inverse FFT a row, unless there are fewer points than rows they touch
-    (the fast path's two): then they mix spectra, one inverse FFT a point."""
+def _evaluate_points(margin, d: int, p, points, measures, grid_h):
+    """Measure values per point, from one table of conditional laws for the call, and the
+    grid step used (None off the uniform grid).  Points mix rows, one inverse FFT a row,
+    unless there are fewer points than rows they touch (the fast path's two): then they
+    mix spectra, one inverse FFT a point."""
     laws = None if margin == "bernoulli" else ConditionalLaws(margin, d, p, grid_h)
     if laws is not None and len(points) < len({k for pt in points for k in (pt.k1, pt.k2)}):
         dists = aggregate(margin, d, points, p, grid_h=grid_h, laws=laws)
     else:
         dists = (aggregate(margin, d, pt, p, grid_h=grid_h, laws=laws) for pt in points)
-    return [[evaluate(dist, m) for m in measures] for dist in dists]
+    rows, dropped = [], 0.0
+    for dist in dists:
+        rows.append([evaluate(dist, m) for m in measures])
+        dropped = max(dropped, getattr(dist, "tail_mass", 0.0))
+    for m in measures:
+        if m.kind in ("var", "es") and 1.0 - m.param < _TAIL_MASS_FACTOR * dropped:
+            raise ValueError(f"{m.label}: 1 - level = {1.0 - m.param:.3g} is within a factor "
+                             f"{_TAIL_MASS_FACTOR:g} of the tail mass {dropped:.3g} that the "
+                             "exponential laws drop, too far out to compare the points")
+    return rows, laws.h if isinstance(margin, UniformMargin) else None
 
 
 def _report(margin, d, p, measures, labels, rows, metadata, fixed=False) -> RiskReport:
@@ -128,7 +143,7 @@ def bounds_common_p(margin, d: int, p, measures, grid_h: float | None = None) ->
     points = extremal_points(d, p)
     labels = [pt.label for pt in points]
     t0 = time.perf_counter()
-    rows = _evaluate_points(margin, d, p, points, measures, grid_h)
+    rows, grid_h = _evaluate_points(margin, d, p, points, measures, grid_h)
     metadata = {"extremal_points": len(points), "runtime_s": round(time.perf_counter() - t0, 6),
                 "grid_h": grid_h, "path": "common-p"}
     report = _report(_margin_desc(margin), d, format_fraction(p), measures, labels, rows, metadata)
@@ -170,7 +185,7 @@ def convex_bounds_fast(margin, d: int, p, measures, grid_h: float | None = None)
     t0 = time.perf_counter()
     points = [min_convex_point(d, p), max_convex_point(d, p)]
     labels = [pt.label for pt in points]
-    rows = _evaluate_points(margin, d, p, points, measures, grid_h)
+    rows, grid_h = _evaluate_points(margin, d, p, points, measures, grid_h)
     metadata = {"extremal_points": 2, "runtime_s": round(time.perf_counter() - t0, 6),
                 "grid_h": grid_h, "path": "convex-fast"}
     return _report(_margin_desc(margin), d, format_fraction(p), measures, labels, rows, metadata,

@@ -27,8 +27,7 @@ import numpy as np
 
 from .bernoulli import (as_fraction, covariance_bounds, format_fraction, json_field,
                         json_rationals, margin_vector, nu_coefficients)
-from .drivers import (Driver, ExchangeableDriver, as_driver, atom_cuts, atom_uniforms,
-                      driver_from_json)
+from .drivers import Driver, ExchangeableDriver, as_driver, atom_cuts, driver_from_json
 from .margins import Margin, v0_cdf, v0v1_cdf
 
 
@@ -204,7 +203,7 @@ class SharedDraw:
             raise ValueError("need n >= 2 draws")
         self.n = n
         rng = _rng(seed)
-        v = atom_uniforms(rng, n)
+        v = rng.random(n)
         order = np.argsort(v)
         self._v = v[order]
         del v

@@ -195,11 +195,11 @@ class GridDistribution(LatticeDistribution):
 class MixedErlangDistribution:
     """Mixture over k of Erlang(shape_offset + k, beta), weights eta_k.
 
-    The recorded ``tail_mass`` is the weight dropped at truncation; quantiles
-    computed from the truncated weights bracket the true ones accordingly.  The
-    exact ``log_mgf(gamma)`` and ``variance`` are given by the caller, since the
-    truncated weights lose both a tiny gamma and the dropped tail; quantiles
-    start from the weights' own moments.
+    The weights may be truncated: ``tail_mass`` = max(0, 1 - sum eta) is the
+    weight they dropped, and quantiles computed from them bracket the true
+    ones accordingly.  The exact ``log_mgf(gamma)`` and ``variance`` are given
+    by the caller, since the truncated weights lose both a tiny gamma and the
+    dropped tail; quantiles start from the weights' own moments.
 
     With N ~ Poisson(beta x), Erlang(n, beta) has cdf P(N >= n), survival
     P(N <= n-1), density beta P(N = n-1) and stop-loss transform
@@ -211,8 +211,7 @@ class MixedErlangDistribution:
 
     kind = "mixed-erlang"
 
-    def __init__(self, beta: float, shape_offset: int, eta, tail_mass: float = 0.0, *,
-                 log_mgf, variance: float):
+    def __init__(self, beta: float, shape_offset: int, eta, *, log_mgf, variance: float):
         if beta <= 0:
             raise ValueError("rate must be positive")
         if shape_offset < 1:
@@ -220,14 +219,14 @@ class MixedErlangDistribution:
         eta = np.asarray(eta, dtype=float)
         if eta.min() < -1e-15:
             raise ValueError("mixture weights must be nonnegative")
-        total = eta.sum() + tail_mass
+        total = float(eta.sum())
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"mixture mass {total} deviates from 1 beyond 1e-10")
         kept = np.flatnonzero(eta > 0)
         self.beta = float(beta)
         self.eta = np.clip(eta[kept[0]: kept[-1] + 1], 0.0, None)
         self.shapes = np.arange(shape_offset + kept[0], shape_offset + kept[-1] + 1.0)
-        self.tail_mass = float(tail_mass)
+        self.tail_mass = max(0.0, 1.0 - total)
         self._quantiles: dict[float, float] = {}
         self._exact_log_mgf, self._exact_variance = log_mgf, variance
 

@@ -69,7 +69,7 @@ class _AtomAnswers:
 
     def sample_indicators(self, rng: np.random.Generator, n: int) -> np.ndarray:
         atoms = self.atoms()
-        picks = pick_atoms([float(w) for _, w in atoms], atom_uniforms(rng, n))
+        picks = pick_atoms([float(w) for _, w in atoms], rng.random(n))
         return _mask_bits([m for m, _ in atoms], self.d)[picks]
 
 
@@ -173,7 +173,7 @@ class ExchangeableDriver:
         return np.tensordot(weights, coeffs, axes=1)
 
     def sample_indicators(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        ks = pick_atoms(self.sum_dist.as_floats(), atom_uniforms(rng, n))
+        ks = pick_atoms(self.sum_dist.as_floats(), rng.random(n))
         # Uniformly random positions for the ones: rank the rows of a uniform draw.
         order = np.argsort(rng.random((n, self.d)), axis=1)
         flags = np.arange(self.d)[None, :] < ks[:, None]
@@ -272,11 +272,6 @@ def _atom_cdf(weights) -> np.ndarray:
     cdf = np.cumsum(weights / weights.sum())
     cdf /= cdf[-1]
     return cdf
-
-
-def atom_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
-    """The n uniforms V that open a sampler's stream and pick each row's atom."""
-    return rng.random(n)
 
 
 def pick_atoms(weights, v: np.ndarray) -> np.ndarray:

@@ -127,10 +127,6 @@ class ExponentialMargin:
             raise ValueError(f"entropic gamma={gamma:g} is at or above the exponential rate "
                              f"{self.rate:g}: E[exp(gamma S)] is infinite")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0, 0.0, 1.0 - np.exp(-self.rate * x))
-
     def ppf(self, u):
         return -np.log1p(-np.asarray(u, dtype=float)) / self.rate
 
@@ -166,9 +162,6 @@ class UniformMargin:
 
     mean = 0.5
     var = 1.0 / 12.0
-
-    def cdf(self, x):
-        return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
 
     def ppf(self, u):
         return np.asarray(u, dtype=float)
@@ -239,15 +232,9 @@ class DiscreteMargin:
     def var(self) -> float:
         return self._law.variance()
 
-    def cdf(self, x):
-        return self._law.cdf(x)
-
     def ppf(self, u):
         u = np.asarray(u, dtype=float)
         return np.searchsorted(self._cdf, u - 1e-12, side="left").astype(float)
-
-    def quantile(self, alpha: float) -> float:
-        return self._law.quantile(alpha)
 
     def es(self, alpha: float) -> float:
         return measures.es(self._law, alpha)

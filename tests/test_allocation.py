@@ -180,6 +180,27 @@ class TestAllocationReport:
         assert sum(report.ces) == pytest.approx(es(agg, 0.95), abs=1e-8)
         assert sum(report.cstd) == pytest.approx(std(agg), abs=1e-8)
 
+    @pytest.mark.parametrize("d", [3, 24])
+    def test_array_forms_equal_the_per_risk_loops(self, d):
+        # the report's per-risk values, bit for bit as loops over the risks compute them
+        if d == 3:
+            margins, driver = example_final_margins(), example_final_driver("r11")
+        else:
+            driver = ExchangeableDriver(min_convex(d, F(1, 3)))
+            margins = [DiscreteMargin.from_power_cdf(0.2 + 0.01 * j, 2 + j % 3, 20)
+                       for j in range(d)]
+        alloc, agg = expected_allocation_all(driver, margins)
+        cov = SplitTable(margins, driver.margins()).covariance(driver)
+        for alpha in (0.8, 0.95):
+            report = allocation_report(driver, margins, alpha)
+            v = int(report.var_s)
+            assert report.var_contributions == [float(alloc[j][v] / agg.probs[v]) for j in range(d)]
+            assert report.ces == [(margins[j].mean - float(alloc[j][: v + 1].sum())
+                                   + report.beta_s * float(alloc[j][v])) / (1.0 - alpha)
+                                  for j in range(d)]
+            assert report.cstd == [float(cov[j].sum()) / report.std_s for j in range(d)]
+        assert [cstd(j, driver, margins) for j in range(1, d + 1)] == report.cstd
+
     def test_rows_shape(self):
         margins, driver = small_portfolio()
         report = allocation_report(driver, margins, 0.8)

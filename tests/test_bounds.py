@@ -14,8 +14,11 @@ from gfgm import (
     frechet_var_bounds,
     var_bounds_common_p,
 )
+import gfgm.bounds
+from gfgm.bounds import ConvexBoundViolation
 from gfgm.distributions import EmpiricalDistribution
 from gfgm.reference import EXAMPLE_FINAL_VERTICES, example_final_margins
+from gfgm.sums import extremal_points, max_convex_point, min_convex_point
 
 FGM_H = 5 / 2.0**15
 
@@ -65,6 +68,16 @@ class TestCommonP:
         assert len(report.values) == 2
         assert report.values["var:0.9999991"] != report.values["var:0.9999992"]
 
+    def test_grid_step_is_the_one_used(self):
+        # the default uniform step is d/2^15; other margins have no grid, whatever grid_h says
+        for bounds in (bounds_common_p, convex_bounds_fast):
+            assert bounds(UniformMargin(), 4, F(1, 2), ["es:0.9"]).metadata["grid_h"] == 4 / 2**15
+            report = bounds(UniformMargin(), 5, F(1, 2), ["es:0.9"], grid_h=FGM_H)
+            assert report.metadata["grid_h"] == FGM_H
+            for margin in (ExponentialMargin(0.1), DiscreteMargin.point_mass(3), "bernoulli"):
+                report = bounds(margin, 4, F(1, 2), ["es:0.9"], grid_h=0.25)
+                assert report.metadata["grid_h"] is None
+
     def test_to_json_schema(self):
         report = bounds_common_p("bernoulli", 4, F(1, 2), ["es:0.9"])
         payload = json.loads(json.dumps(report.to_json()))
@@ -95,6 +108,41 @@ class TestConvexFast:
     def test_var_refused(self):
         with pytest.raises(ValueError):
             convex_bounds_fast(ExponentialMargin(1.0), 5, F(1, 2), ["var:0.9"])
+
+
+class TestConvexGuard:
+    """Full enumeration checks each convex measure's extrema against the convex-order
+    smallest point and the upper Fréchet point; a value off at any other point raises."""
+
+    D, P = 6, F(1, 3)
+
+    def bounds_with_one_point_scaled(self, monkeypatch, measure, factor):
+        designated = {min_convex_point(self.D, self.P).index - 1,
+                      max_convex_point(self.D, self.P).index - 1}
+        target = min(set(range(len(extremal_points(self.D, self.P)))) - designated)
+        evaluate, calls = gfgm.bounds.evaluate, []
+
+        def scaled(dist, m):  # one measure, so the calls run over the points in order
+            calls.append(m)
+            return evaluate(dist, m) * (factor if len(calls) - 1 == target else 1.0)
+
+        monkeypatch.setattr(gfgm.bounds, "evaluate", scaled)
+        report = bounds_common_p(ExponentialMargin(0.5), self.D, self.P, [measure])
+        return report, report.point_labels[target]
+
+    def test_a_minimum_below_the_convex_order_point_raises(self, monkeypatch):
+        with pytest.raises(ConvexBoundViolation, match="es:0.9: minimum .* undercuts"):
+            self.bounds_with_one_point_scaled(monkeypatch, "es:0.9", 0.5)
+
+    def test_a_maximum_above_the_upper_frechet_point_raises(self, monkeypatch):
+        with pytest.raises(ConvexBoundViolation, match="entropic:0.1: maximum .* exceeds"):
+            self.bounds_with_one_point_scaled(monkeypatch, "entropic:0.1", 2.0)
+
+    def test_var_is_never_checked(self, monkeypatch):
+        report, label = self.bounds_with_one_point_scaled(monkeypatch, "var:0.9", 0.5)
+        assert report.minima["var:0.9"][1] == label
+        report, label = self.bounds_with_one_point_scaled(monkeypatch, "var:0.9", 2.0)
+        assert report.maxima["var:0.9"][1] == label
 
 
 class TestGeneralP:

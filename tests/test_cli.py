@@ -174,6 +174,14 @@ class TestBounds:
         assert_one_line_usage_error(code, out, err)
         assert "at or above the mass" in err
 
+    def test_far_tail_level_near_the_dropped_mass_is_refused(self):
+        # the points' laws drop 5.7e-13 to 9.2e-13 of tail mass here, so their ES at
+        # 1 - 1e-12 cannot be compared; this ended in a ConvexBoundViolation traceback
+        code, out, err = run_process("bounds", "--margin", "exp:0.1", "--d", "4", "--p", "1/3",
+                                     "--measures", "es:0.999999999999", timeout=10)
+        assert_one_line_usage_error(code, out, err)
+        assert "es:0.999999999999" in err and "tail mass 9.16e-13" in err
+
     def test_format_is_not_a_bounds_option(self, capsys):
         code, out, err = run(capsys, "bounds", "--margin", "exp:0.1", "--d", "4", "--p", "1/2",
                              "--alpha", "0.9", "--fast", "--format", "csv")
