@@ -399,19 +399,26 @@ class SplitTable:
             raise ValueError(f"driver of dimension {driver.d} for a table of {self.d} margins")
 
     def _log_mgf(self, stack: DriverStack, mixed_at: dict, i: int, t: float) -> float:
-        """log E[e^{tS}] for driver i of the stack = log mix(M0_j(t), M1_j(t)), each
-        coordinate scaled by its larger mgf; ``mixed_at`` keeps the stack's mixture per t."""
+        """log E[e^{tS}] for driver i of the stack.  Scaled by its larger mgf, coordinate j
+        mixes x_j <= 1, and mix(prod_j x_j) - 1 = sum_j mix((x_j - 1) prod_{i<j} x_i) sums
+        terms of one sign: column j of one mixture holds x_i for i < j, x_j - 1 by expm1
+        and 1 for i > j, so a mixture that rounds to 1 keeps its size through log1p.
+        ``mixed_at`` keeps the stack's excesses per t."""
         if t not in self._scaled_mgfs:
             l0, l1 = np.array([[z.log_mgf(t) for z in pair] for pair in self._split]).T
             top = np.maximum(l0, l1)
-            self._scaled_mgfs[t] = float(top.sum()), np.exp(l0 - top), np.exp(l1 - top)
+            later = np.tri(self.d, k=-1, dtype=bool)  # later[i, j]: coordinate i > j
+            columns = [np.where(later, 1.0, np.exp(l - top)[:, None]) for l in (l0, l1)]
+            for column, l in zip(columns, (l0, l1)):
+                np.fill_diagonal(column, np.expm1(l - top))
+            self._scaled_mgfs[t] = float(top.sum()), *columns
         log_scale, a, b = self._scaled_mgfs[t]
         if t not in mixed_at:
-            mixed_at[t] = stack.mix(a, b)
-        mixed = float(mixed_at[t][i])
-        if not mixed > 0.0:
+            mixed_at[t] = stack.mix(a, b).sum(axis=-1)
+        excess = float(mixed_at[t][i])
+        if not excess > -1.0:
             raise ArithmeticError(f"mixture of split mgfs at t={t} underflows")
-        return log_scale + math.log(mixed)
+        return log_scale + math.log1p(excess)
 
     def _covariance(self, joint: np.ndarray) -> np.ndarray:
         """Cov(X_k, X_l) = gap_k gap_l Cov(I_k, I_l), plus E Var(Z_{I_k}) on the diagonal,

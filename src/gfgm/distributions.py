@@ -157,8 +157,9 @@ class LatticeDistribution:
         return self.h**2 * float(np.dot((self.support - m) ** 2, self.probs))
 
     def cdf(self, x) -> np.ndarray | float:
-        steps = np.asarray(x, dtype=float) / self.h + self._node_slack
-        idx = np.clip(np.floor(steps).astype(int), -1, self.probs.size - 1)
+        with np.errstate(over="ignore"):  # x / h past the float range is +-inf steps
+            steps = np.asarray(x, dtype=float) / self.h + self._node_slack
+        idx = np.clip(np.floor(steps), -1, self.probs.size - 1).astype(int)  # bounded as floats
         padded = np.concatenate([[0.0], self._cdf])
         return padded[idx + 1]
 
@@ -169,8 +170,11 @@ class LatticeDistribution:
         return self._quantiles[level]
 
     def stop_loss(self, t: float) -> float:  # a sum over the nodes above t only
-        first = min(max(math.floor(t / self.h) + 1, 0), self.probs.size)
-        return self.h * float(np.dot(self.support[first:] - t / self.h, self.probs[first:]))
+        steps = float(t) / self.h  # +-inf past the float range: no node above, or infinite loss
+        if steps == -math.inf:
+            return math.inf
+        first = self.probs.size if steps >= self.probs.size else max(math.floor(steps) + 1, 0)
+        return self.h * float(np.dot(self.support[first:] - steps, self.probs[first:]))
 
     def log_mgf(self, gamma: float) -> float:
         t = gamma * self.h

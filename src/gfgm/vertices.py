@@ -1,4 +1,4 @@
-"""Exact vertex enumeration for Bernoulli Fréchet classes at small dimension.
+"""Exact vertices of Bernoulli Fréchet classes at small dimension, and decompositions.
 
 The class is the polytope {f >= 0, A f = (1, p)} over the 2^d masks, where A
 has a row of ones and one 0/1 row per mask bit.  Its d+1 equality rows are
@@ -22,6 +22,12 @@ The search space is C(2^d, d+1): 906,192 bases at d = 5 but 621,216,192,
 686 times as many, at d = 6.  So d = 5 (``MAX_DIM``) is a hard cap, and
 higher-dimensional work goes through the analytic extremal points of the
 sum class instead.
+
+``decompose`` solves no LP.  The members whose support lies inside supp g
+form the smallest face that holds g, so one of its vertices v has supp v
+within supp g, and g less the largest multiple of v below it is, rescaled,
+a member of strictly smaller support: peeling vertices writes f as a convex
+combination of at most |supp f| of them.
 """
 
 from __future__ import annotations
@@ -47,14 +53,8 @@ class EnumerationCapError(ValueError):
 
 
 class NotInPolytopeError(ValueError):
-    """Decomposition target is not a convex combination of the given vertices."""
-
-
-def _basis_chunks(columns: int, size: int):
-    """All size-subsets of range(columns) in lexicographic order, as int arrays of _CHUNK rows."""
-    combos = itertools.combinations(range(columns), size)
-    while (chunk := np.fromiter(itertools.islice(combos, _CHUNK), np.dtype((np.intp, size)))).size:
-        yield chunk
+    """No listed vertex fits: the target is outside the class, or the list lacks a vertex
+    of its smallest face."""
 
 
 def _determinants(b: np.ndarray) -> np.ndarray:
@@ -97,7 +97,8 @@ def _basis_table(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     a = np.vstack([np.ones_like(masks)] + [(masks >> j) & 1 for j in range(d)]).astype(np.int64)
     eye = np.eye(d + 1, dtype=np.int64)
     parts = []
-    for cols in _basis_chunks(1 << d, d + 1):
+    combos = itertools.combinations(range(1 << d), d + 1)  # in lexicographic order
+    while (cols := np.fromiter(itertools.islice(combos, _CHUNK), np.dtype((np.intp, d + 1)))).size:
         b = np.moveaxis(a[:, cols], 1, 0)
         det = _determinants(b)
         rows = np.flatnonzero(det)
@@ -161,69 +162,34 @@ def enumerate_vertices(p) -> list[BernoulliPmf]:
     return [BernoulliPmf(d, tuple(fractions[x] for x in key)) for key in keys]
 
 
+def _support(values) -> int:
+    """The masks where values is nonzero, as the bits of one int."""
+    return sum(1 << i for i, x in enumerate(values) if x)
+
+
 def decompose(f: BernoulliPmf, vertices: Sequence[BernoulliPmf]) -> tuple[Fraction, ...]:
-    """One exact convex decomposition of f over the given vertex set.
+    """One exact convex decomposition of f over the given vertices, by peeling.
 
-    Solves the feasibility program sum_k w_k r_k = f, w >= 0 (the weights sum
-    to one automatically because every vertex sums to one) with a phase-one
-    simplex in exact rationals.  Weights are not unique; any feasible vector
-    is returned.
-
-    Raises NotInPolytopeError when f is not in the convex hull.
+    With g = f less the part peeled so far, each peel takes the first listed
+    vertex v with supp v within supp g, at weight lam = min over supp v of
+    g_i / v_i, which empties at least one more mask of g.  ``vertices`` must
+    hold the vertices of f's smallest face, as ``enumerate_vertices(p)`` does:
+    a list that lacks one may refuse a member of its hull.  Raises
+    NotInPolytopeError when no listed vertex fits.
     """
     if not vertices:
         raise ValueError("empty vertex list")
-    m = len(f.values)
-    nv = len(vertices)
-    for v in vertices:
-        if v.d != f.d:
-            raise ValueError("vertex dimension mismatch")
-
-    # Tableau rows: structural columns, artificial columns, rhs.
-    rows = [
-        [vertices[k].values[i] for k in range(nv)]
-        + [Fraction(1) if a == i else Fraction(0) for a in range(m)]
-        + [f.values[i]]
-        for i in range(m)
-    ]
-    basis = [nv + i for i in range(m)]
-    # Phase-one reduced costs: cost of artificials is 1.
-    cost = [Fraction(0)] * (nv + m + 1)
-    for row in rows:
-        for j in range(nv + m + 1):
-            cost[j] -= row[j]
-    for a in range(m):
-        cost[nv + a] += 1
-
-    while True:
-        enter = next((j for j in range(nv + m) if cost[j] < 0), None)
-        if enter is None:
-            break
-        ratio = None
-        leave = None
-        for i in range(m):
-            a = rows[i][enter]
-            if a > 0:
-                r = rows[i][-1] / a
-                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
-                    ratio, leave = r, i
-        if leave is None:
-            raise NotInPolytopeError("unbounded phase-one program")
-        piv = rows[leave][enter]
-        rows[leave] = [x / piv for x in rows[leave]]
-        for i in range(m):
-            if i != leave and rows[i][enter]:
-                factor = rows[i][enter]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[leave])]
-        if cost[enter]:
-            factor = cost[enter]
-            cost = [x - factor * y for x, y in zip(cost, rows[leave])]
-        basis[leave] = enter
-
-    if -cost[-1] != 0:
-        raise NotInPolytopeError("not in polytope: no convex combination reproduces f")
-    weights = [Fraction(0)] * nv
-    for i, b in enumerate(basis):
-        if b < nv:
-            weights[b] = rows[i][-1]
+    if any(v.d != f.d for v in vertices):
+        raise ValueError("vertex dimension mismatch")
+    supports = [_support(v.values) for v in vertices]
+    weights = [Fraction(0)] * len(vertices)
+    g = f.values
+    while support := _support(g):
+        k = next((k for k, s in enumerate(supports) if not s & ~support), None)
+        if k is None:
+            raise NotInPolytopeError("not in polytope: f is outside the class, "
+                                     "or the list lacks a vertex of f's smallest face")
+        v = vertices[k].values
+        weights[k] = lam = min(x / y for x, y in zip(g, v) if y)
+        g = [x - lam * y for x, y in zip(g, v)]
     return tuple(weights)

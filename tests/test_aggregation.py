@@ -13,7 +13,9 @@ from gfgm import (
     UniformMargin,
     aggregate,
     aggregate_discrete_general,
+    bounds_general_p,
     entropic,
+    enumerate_vertices,
     es,
     independence_pmf,
     max_convex,
@@ -161,6 +163,17 @@ class TestDiscreteGeneral:
         assert general == pytest.approx(value, abs=0.01)
 
 
+    @pytest.mark.parametrize("gamma", [1e-200, 1e-12])
+    def test_tiny_gamma_entropic_is_the_mean_plus_half_gamma_variance(self, gamma):
+        # the mixed split mgfs round to 1, so a log of the mixture alone loses gamma E S
+        margin, p = DiscreteMargin([0.5, 0.25, 0.25]), [F(1, 2), F(1, 3)]
+        [values] = bounds_general_p([margin] * 2, p, [f"entropic:{gamma}"]).values.values()
+        laws = [aggregate_discrete_general([margin] * 2, v) for v in enumerate_vertices(p)]
+        assert values == pytest.approx([law.mean() + gamma * law.variance() / 2 for law in laws],
+                                       rel=1e-15)
+        assert values == pytest.approx([1.5, 1.5], rel=1e-12)
+
+
 def reference_law(table, driver):
     """SplitTable.law as one driver at a time computed it: one driver.mix, one inverse
     FFT, the LatticeDistribution constructor (its one normalization), the covariance sum
@@ -170,10 +183,17 @@ def reference_law(table, driver):
     mixed = driver.mix(*table._columns)[: -table.d**2]
     pmf = np.fft.irfft(mixed, n=table.length)[: table.size]
 
-    def log_mgf(t):
+    def log_mgf(t):  # log_scale + log1p of the mixed excess, column j term j of the telescope
         l0, l1 = np.array([[z.log_mgf(t) for z in pair] for pair in table._split]).T
         top = np.maximum(l0, l1)
-        return float(top.sum()) + math.log(float(driver.mix(np.exp(l0 - top), np.exp(l1 - top))))
+        columns = []
+        for l in (l0, l1):
+            x = np.exp(l - top)
+            column = np.array([[x[i] if i < j else 1.0 for j in range(table.d)]
+                               for i in range(table.d)])
+            np.fill_diagonal(column, np.expm1(l - top))
+            columns.append(column)
+        return float(top.sum()) + math.log1p(float(driver.mix(*columns).sum()))
 
     return LatticeDistribution(pmf, log_mgf=log_mgf,
                                variance=float(table.covariance(driver).sum()))

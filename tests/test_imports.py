@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gfgm import QuantileMargin
@@ -31,6 +32,10 @@ gfgm.convex_bounds_fast(gfgm.ExponentialMargin(0.1), 100, F(1, 3), ["es:0.999"] 
 p_vector = ["1/2", "1/3", "2/3"]
 gfgm.bounds_general_p([discrete] * 3, p_vector, measures)
 gfgm.bounds_general_p([gfgm.ExponentialMargin(1.0)] * 3, p_vector, measures, mc_n=1000)
+gfgm.bounds_general_p([gfgm.DiscreteMargin([0.5, 0.25, 0.25])] * 2, p_vector[:2],
+                      ["entropic:1e-200", "entropic:1e-12"])
+p4 = [F(1, 2), F(1, 3), F(2, 3), F(1, 2)]
+gfgm.decompose(gfgm.independence_pmf(p4), gfgm.enumerate_vertices(p4))
 gfgm.allocation_report(gfgm.ExchangeableDriver(gfgm.min_convex(4, F(1, 2))), [discrete] * 4, 0.9)
 spec = {"p": ["1/2"] * 5, "driver": {"type": "exchangeable",
                                      "sum": gfgm.min_convex(5, F(1, 2)).to_json()},
@@ -61,3 +66,15 @@ def test_quadrature_without_scipy_names_the_extra(monkeypatch):
                                           r"pip install gfgm\[quadrature\]$"):
         QuantileMargin(lambda u: u).mean
     assert QuantileMargin(lambda u: u, mean=0.5).mean == 0.5
+
+
+def test_quadrature_variance_is_read_once(monkeypatch):
+    import gfgm.margins as margins
+
+    margin = QuantileMargin(lambda u: -np.log1p(-u) / 2.0)  # Exp(2): variance 1/4
+    assert margin.var == pytest.approx(0.25, abs=1e-8)
+    calls = []
+    monkeypatch.setattr(margins, "_quad", lambda f: calls.append(f))
+    assert margin.var == pytest.approx(0.25, abs=1e-8)
+    assert margin.mean == pytest.approx(0.5, abs=1e-8)
+    assert calls == []

@@ -134,6 +134,26 @@ class TestStd:
         assert std(EmpiricalDistribution(samples)) == pytest.approx(2.0, abs=0.02)
 
 
+class TestArgumentsPastTheIntegerRange:
+    """cdf and stop-loss at +-inf and past 2^63 lattice steps, the same for every kind of law;
+    on a fine grid x / h overflows before x does."""
+
+    @pytest.mark.parametrize("law", [
+        lattice([0.2, 0.3, 0.5]),
+        GridDistribution(0.25, [0.2, 0.3, 0.5]),
+        GridDistribution(1e-300, [0.2, 0.3, 0.5]),
+        MixedErlangDistribution(1.0, 1, np.array([0.5, 0.5]), log_mgf=None, variance=1.5),
+        EmpiricalDistribution(np.array([1.0, 2.0, 3.0])),
+    ], ids=["lattice", "grid", "fine-grid", "mixed-erlang", "empirical"])
+    def test_far_arguments(self, law):
+        assert law.cdf(np.inf) == law.cdf(1e300) == 1.0
+        assert law.cdf(-np.inf) == law.cdf(-1e300) == 0.0
+        assert list(law.cdf(np.array([-np.inf, 1e300, np.inf]))) == [0.0, 1.0, 1.0]
+        assert law.stop_loss(np.inf) == law.stop_loss(1e300) == 0.0
+        assert law.stop_loss(-np.inf) == math.inf
+        assert law.stop_loss(-1e300) >= 1e300
+
+
 class TestCashInvarianceAndScaling:
     def test_translation_on_shifted_lattice(self):
         base = LatticeDistribution.from_sum_pmf(rd(6))

@@ -14,6 +14,7 @@ from gfgm import (
     BernoulliPmf,
     EnumerationCapError,
     NotInPolytopeError,
+    comonotone_pmf,
     decompose,
     enumerate_vertices,
     independence_pmf,
@@ -203,6 +204,51 @@ class TestDecompose:
         outside = independence_pmf([F(1, 3), F(1, 2)])
         with pytest.raises(NotInPolytopeError):
             decompose(outside, vertices)
+
+    @staticmethod
+    def _assert_round_trip(f, vertices):
+        weights = decompose(f, vertices)
+        assert len(weights) == len(vertices)
+        assert all(w >= 0 for w in weights) and sum(weights) == 1
+        recombined = tuple(sum((w * v.values[i] for w, v in zip(weights, vertices) if w), F(0))
+                           for i in range(len(f.values)))
+        assert recombined == f.values
+        # one peel per listed vertex used, and each peel empties at least one mask of f
+        assert sum(1 for w in weights if w) <= sum(1 for x in f.values if x)
+
+    @staticmethod
+    def _mixture(vertices, rng):
+        """A seeded convex combination of 2 to 6 distinct vertices with rational weights."""
+        picks = rng.sample(vertices, rng.randint(2, min(6, len(vertices))))
+        raw = [rng.randint(1, 9) for _ in picks]
+        weights = [F(r, sum(raw)) for r in raw]
+        d = picks[0].d
+        return BernoulliPmf(d, tuple(sum((w * v.values[i] for w, v in zip(weights, picks)), F(0))
+                                     for i in range(1 << d)))
+
+    @pytest.mark.parametrize("p", [[F(1, 2), F(1, 3), F(2, 3)], [F(1, 4), F(3, 5), F(1, 2)],
+                                   D4_P[1], D4_P[2]], ids=["d3", "d3b", "d4", "d4b"])
+    def test_round_trips_recombine_exactly(self, p):
+        vertices = enumerate_vertices(p)
+        rng = random.Random(len(vertices))
+        targets = [independence_pmf(p), comonotone_pmf(p)]
+        targets += [self._mixture(vertices, rng) for _ in range(10)]
+        for f in targets:
+            self._assert_round_trip(f, vertices)
+
+    def test_d5_round_trips(self):
+        # 15,224 vertices; the peel scans them by support bits, once per peel
+        p = [F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 5)]
+        vertices = enumerate_vertices(p)
+        for f in (independence_pmf(p), self._mixture(vertices, random.Random(5))):
+            self._assert_round_trip(f, vertices)
+
+    def test_target_of_another_dimension_or_no_vertices_refused(self):
+        vertices = enumerate_vertices([F(1, 2), F(1, 2)])
+        with pytest.raises(ValueError, match="empty vertex list"):
+            decompose(vertices[0], [])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            decompose(independence_pmf([F(1, 2)] * 3), vertices)
 
 
 class TestBasisTable:
