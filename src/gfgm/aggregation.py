@@ -403,22 +403,27 @@ class SplitTable:
         mixes x_j <= 1, and mix(prod_j x_j) - 1 = sum_j mix((x_j - 1) prod_{i<j} x_i) sums
         terms of one sign: column j of one mixture holds x_i for i < j, x_j - 1 by expm1
         and 1 for i > j, so a mixture that rounds to 1 keeps its size through log1p.
-        ``mixed_at`` keeps the stack's excesses per t."""
+        Column d holds the plain product, whose log is taken where the excess nears -1,
+        as ``log_mean_exp`` does.  ``mixed_at`` keeps the stack's excesses and mixtures
+        per t."""
         if t not in self._scaled_mgfs:
             l0, l1 = np.array([[z.log_mgf(t) for z in pair] for pair in self._split]).T
             top = np.maximum(l0, l1)
-            later = np.tri(self.d, k=-1, dtype=bool)  # later[i, j]: coordinate i > j
+            later = np.tri(self.d, self.d + 1, k=-1, dtype=bool)  # later[i, j]: i > j
             columns = [np.where(later, 1.0, np.exp(l - top)[:, None]) for l in (l0, l1)]
             for column, l in zip(columns, (l0, l1)):
                 np.fill_diagonal(column, np.expm1(l - top))
             self._scaled_mgfs[t] = float(top.sum()), *columns
         log_scale, a, b = self._scaled_mgfs[t]
         if t not in mixed_at:
-            mixed_at[t] = stack.mix(a, b).sum(axis=-1)
-        excess = float(mixed_at[t][i])
-        if not excess > -1.0:
+            mixed = stack.mix(a, b)
+            mixed_at[t] = mixed[:, :-1].sum(axis=-1), mixed[:, -1]
+        excess, mixed = (float(column[i]) for column in mixed_at[t])
+        if excess > -0.5:
+            return log_scale + math.log1p(excess)
+        if not mixed > 0.0:
             raise ArithmeticError(f"mixture of split mgfs at t={t} underflows")
-        return log_scale + math.log1p(excess)
+        return log_scale + math.log(mixed)
 
     def _covariance(self, joint: np.ndarray) -> np.ndarray:
         """Cov(X_k, X_l) = gap_k gap_l Cov(I_k, I_l), plus E Var(Z_{I_k}) on the diagonal,

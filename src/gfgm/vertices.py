@@ -23,11 +23,7 @@ The search space is C(2^d, d+1): 906,192 bases at d = 5 but 621,216,192,
 higher-dimensional work goes through the analytic extremal points of the
 sum class instead.
 
-``decompose`` solves no LP.  The members whose support lies inside supp g
-form the smallest face that holds g, so one of its vertices v has supp v
-within supp g, and g less the largest multiple of v below it is, rescaled,
-a member of strictly smaller support: peeling vertices writes f as a convex
-combination of at most |supp f| of them.
+``decompose`` solves no LP: it peels vertices off the target's smallest face.
 """
 
 from __future__ import annotations
@@ -53,8 +49,14 @@ class EnumerationCapError(ValueError):
 
 
 class NotInPolytopeError(ValueError):
-    """No listed vertex fits: the target is outside the class, or the list lacks a vertex
-    of its smallest face."""
+    """No listed vertex fits: f is outside the class, or the list lacks a vertex of its face."""
+
+
+def _basis_chunks(columns: int, size: int):
+    """All size-subsets of range(columns) in lexicographic order, as int arrays of _CHUNK rows."""
+    combos = itertools.combinations(range(columns), size)
+    while (chunk := np.fromiter(itertools.islice(combos, _CHUNK), np.dtype((np.intp, size)))).size:
+        yield chunk
 
 
 def _determinants(b: np.ndarray) -> np.ndarray:
@@ -97,8 +99,7 @@ def _basis_table(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     a = np.vstack([np.ones_like(masks)] + [(masks >> j) & 1 for j in range(d)]).astype(np.int64)
     eye = np.eye(d + 1, dtype=np.int64)
     parts = []
-    combos = itertools.combinations(range(1 << d), d + 1)  # in lexicographic order
-    while (cols := np.fromiter(itertools.islice(combos, _CHUNK), np.dtype((np.intp, d + 1)))).size:
+    for cols in _basis_chunks(1 << d, d + 1):
         b = np.moveaxis(a[:, cols], 1, 0)
         det = _determinants(b)
         rows = np.flatnonzero(det)

@@ -173,6 +173,26 @@ class TestDiscreteGeneral:
                                        rel=1e-15)
         assert values == pytest.approx([1.5, 1.5], rel=1e-12)
 
+    def test_log_mgf_rows_far_apart(self):
+        # Splits of [1/2, 1/2 - e, e] put e and about e^2 on node 2, so at a large gamma a
+        # coordinate's two mgfs lie a factor near e apart, and a vertex without the all-z0
+        # atom mixes the scaled mgfs to about e^2: an excess near -1 keeps no digits.
+        margin, p = DiscreteMargin([0.5, 0.5 - 1e-12, 1e-12]), [F(1, 2), F(1, 3), F(2, 3)]
+        splits = [margin.z_pmfs(q) for q in p]
+        for v in enumerate_vertices(p):
+            law = aggregate_discrete_general([margin] * 3, v)
+            pmf = np.zeros(7)
+            for mask, w in DenseDriver(v).atoms():
+                row = np.ones(1)
+                for j, z in enumerate(splits):
+                    row = np.convolve(row, z.z1 if (mask >> j) & 1 else z.z0)
+                pmf += float(w) * row
+            k = np.flatnonzero(pmf)
+            for gamma in (10.0, 40.0, 100.0):
+                x = np.log(pmf[k]) + gamma * k
+                oracle = x.max() + math.log(np.exp(x - x.max()).sum())
+                assert law.log_mgf(gamma) == pytest.approx(oracle, rel=1e-14)
+
 
 def reference_law(table, driver):
     """SplitTable.law as one driver at a time computed it: one driver.mix, one inverse
@@ -189,11 +209,13 @@ def reference_law(table, driver):
         columns = []
         for l in (l0, l1):
             x = np.exp(l - top)
-            column = np.array([[x[i] if i < j else 1.0 for j in range(table.d)]
+            column = np.array([[x[i] if i < j else 1.0 for j in range(table.d)] + [x[i]]
                                for i in range(table.d)])
             np.fill_diagonal(column, np.expm1(l - top))
             columns.append(column)
-        return float(top.sum()) + math.log1p(float(driver.mix(*columns).sum()))
+        mixed = driver.mix(*columns)  # column d: the plain product, for an excess near -1
+        excess = float(mixed[:-1].sum())
+        return float(top.sum()) + (math.log1p(excess) if excess > -0.5 else math.log(mixed[-1]))
 
     return LatticeDistribution(pmf, log_mgf=log_mgf,
                                variance=float(table.covariance(driver).sum()))

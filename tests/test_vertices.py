@@ -113,6 +113,18 @@ class TestEnumerate:
             with pytest.raises(NotInPolytopeError):
                 decompose(v, others)
 
+    @pytest.mark.parametrize("p", [[F(1, 2)] * 3, [F(1, 3), F(1, 2), F(1, 4)]])
+    def test_minimality_no_vertex_lies_in_the_hull_of_the_others(self, p):
+        # decompose only peels, so it refuses v as soon as no other vertex fits inside
+        # supp v; the HiGHS oracle decides the hull membership itself
+        vertices = enumerate_vertices(p)
+        rows = np.array([[float(x) for x in v.values] for v in vertices])
+        for i, v in enumerate(rows):
+            others = np.delete(rows, i, axis=0)
+            lp = linprog(np.zeros(len(others)), A_eq=others.T, b_eq=v, bounds=(0, None),
+                         method="highs")
+            assert lp.status == 2, (i, lp.message)
+
     def test_output_sorted_and_duplicate_free(self):
         vertices = enumerate_vertices([F(1, 3), F(1, 2), F(1, 4)])
         values = [v.values for v in vertices]
