@@ -26,7 +26,7 @@ from .aggregation import SplitTable
 from .distributions import LatticeDistribution
 from .drivers import Driver, as_driver
 from .margins import DiscreteMargin
-from .measures import es as es_measure
+from .measures import es as es_measure, var as var_measure
 
 # The transforms of S are exact to about 1e-15 absolute, so a mass below this
 # floor cannot be told apart from FFT round-off and is treated as zero.
@@ -75,7 +75,7 @@ def expected_contribution(j: int, driver, margins, y: int) -> float:
 
 
 def _ces_from_alloc(alloc: np.ndarray, agg: LatticeDistribution, means, alpha: float):
-    v = int(agg.quantile(alpha))
+    v = int(var_measure(agg, alpha))  # refuses a level outside (0, 1)
     cdf_v = float(agg.cdf(v))
     atom = float(agg.probs[v])
     beta_s = (cdf_v - alpha) / atom if atom > 0 else 0.0

@@ -240,20 +240,23 @@ def cmd_validate(args) -> int:
     n = args.n
     if n < 1000:
         raise ValueError("validation needs n >= 1000")
+    alpha = args.alpha
+    if not 0 < alpha < 1:
+        raise ValueError(f"level must be inside (0,1), got {alpha}")
 
     draws = sample_x(spec, margins, n, seed=args.seed)
     sample = EmpiricalDistribution(draws.sum(axis=1))
 
     p_common = spec.p[0] if all(q == spec.p[0] for q in spec.p) else None
-    same_margin = all(type(m) is type(margins[0]) for m in margins)
-    if p_common is not None and same_margin and not isinstance(margins[0], DiscreteMargin):
-        analytic = aggregate(margins[0], spec.d, spec.driver.sum_pmf(), p_common)
+    first = margins[0]  # the common-p path aggregates d copies of it
+    if p_common is not None and not isinstance(first, DiscreteMargin) and all(
+            type(m) is type(first) and vars(m) == vars(first) for m in margins):
+        analytic = aggregate(first, spec.d, spec.driver.sum_pmf(), p_common)
     elif all(isinstance(m, DiscreteMargin) for m in margins):
         analytic = aggregate_discrete_general(margins, spec.driver)
     else:
         raise ValueError("no analytic aggregation path for this spec; nothing to validate")
 
-    alpha = args.alpha
     checks = []
     mean_an = analytic.mean()
     se = np.sqrt(analytic.variance() / n)
@@ -264,7 +267,8 @@ def cmd_validate(args) -> int:
     # the nodes by their atoms, and other laws are continuous
     at = float(analytic.cdf(q_emp))
     below = float(analytic.cdf(np.ceil(q_emp) - 1)) if analytic.kind == "lattice" else at
-    z_var = max(below - alpha, alpha - at, 0.0) / np.sqrt(alpha * (1 - alpha) / n)
+    # alpha (1 - alpha) / n would underflow to 0 at a subnormal alpha; its root does not
+    z_var = max(below - alpha, alpha - at, 0.0) / (np.sqrt(alpha * (1 - alpha)) / np.sqrt(n))
     checks.append((Measure("var", alpha).label, var(analytic, alpha), q_emp, z_var))
     es_an = es(analytic, alpha)
     tail = np.clip(sample.samples - var(analytic, alpha), 0.0, None)

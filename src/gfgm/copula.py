@@ -130,6 +130,8 @@ def _cdf_nu(spec: GfgmSpec, pts: np.ndarray) -> np.ndarray:
 
 
 def _rng(seed) -> np.random.Generator:
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 

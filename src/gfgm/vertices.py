@@ -9,14 +9,16 @@ The bases depend only on d, so they are found once per process and d and
 kept as int8 arrays (``_basis_table``): 3,008 nonsingular bases and about
 0.1 MB at d = 4, 556,192 and about 24 MB at d = 5.  The search runs over all
 C(2^d, d+1) column sets in fixed-size chunks of numpy arrays.  Floats propose
-and integers certify: each determinant is exact (fraction-free elimination
-in int64), the adjugate is a float inverse scaled by it and rounded, and the
-integer identity B @ adj == det I must hold or the build raises
-ArithmeticError.  With L the lcm of the denominators of p,
-x = adj @ (L, L p) / (det L), so a call only multiplies, tests signs on
-integers and reduces each solution to an exact Fraction: no float tolerance
-decides anything.  Products switch to Python integers when L (d+1) max|adj|,
-a bound on any entry of adj @ (L, L p), could pass 2^62.
+and integers certify.  A basis is dropped where its LU determinant rounds to
+0, the one decision a float makes: |det B| <= 5 at d <= 5, a value more than
+1e-6 from an integer raises ArithmeticError, and the tests pin the number of
+kept bases at every d.  The adjugate is the float inverse scaled by the
+rounded det and rounded, and B @ adj == det I must hold in integers or the
+build raises ArithmeticError, so B^-1 = adj / det exactly.  With L the lcm of
+the denominators of p, x = adj @ (L, L p) / (det L), so a call only
+multiplies, tests signs on integers and reduces each solution to an exact
+Fraction.  Products switch to Python integers when L (d+1) max|adj|, a bound
+on any entry of adj @ (L, L p), could pass 2^62.
 
 The search space is C(2^d, d+1): 906,192 bases at d = 5 but 621,216,192,
 686 times as many, at d = 6.  So d = 5 (``MAX_DIM``) is a hard cap, and
@@ -59,32 +61,6 @@ def _basis_chunks(columns: int, size: int):
         yield chunk
 
 
-def _determinants(b: np.ndarray) -> np.ndarray:
-    """Exact determinants, up to sign, of a stack of integer matrices whose first row is all ones.
-
-    Subtracting the first column from the others turns that row into
-    (1, 0, ..., 0), so det B is the determinant of the block of differences.
-    Bareiss's fraction-free elimination with row pivoting computes it with
-    exact integer divisions; a column without a pivot leaves zeros behind it.
-    Row swaps are not counted: the adjugate is proposed as det * inv(B), so
-    either sign passes the certificate and gives the same solution.
-    """
-    m = b[:, 1:, 1:] - b[:, 1:, :1]
-    count, n, _ = m.shape
-    rows = np.arange(count)
-    prev = np.ones(count, dtype=np.int64)
-    for k in range(n):
-        piv = k + np.argmax(m[:, k:, k] != 0, axis=1)
-        top = m[rows, piv].copy()
-        m[rows, piv] = m[:, k]
-        m[:, k] = top
-        pk = m[:, k, k]
-        m[:, k + 1:, k + 1:] = (pk[:, None, None] * m[:, k + 1:, k + 1:]
-                                - m[:, k + 1:, k, None] * m[:, k, None, k + 1:]) // prev[:, None, None]
-        prev = np.where(pk == 0, 1, pk)
-    return m[:, n - 1, n - 1]
-
-
 @functools.cache
 def _basis_table(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Every nonsingular basis of the d-dimensional class as (cols, q, adj), in search
@@ -101,7 +77,10 @@ def _basis_table(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     parts = []
     for cols in _basis_chunks(1 << d, d + 1):
         b = np.moveaxis(a[:, cols], 1, 0)
-        det = _determinants(b)
+        lu = np.linalg.det(b)
+        det = np.rint(lu).astype(np.int64)
+        if np.abs(lu - det).max() > 1e-6:
+            raise ArithmeticError("LU determinant more than 1e-6 from an integer")
         rows = np.flatnonzero(det)
         b, det = b[rows], det[rows]
         adj = np.rint(det[:, None, None] * np.linalg.inv(b)).astype(np.int64)

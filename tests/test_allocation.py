@@ -127,6 +127,15 @@ class TestCes:
         assert sum(parts) == pytest.approx(es_total, abs=1e-8)
         assert all(0 <= c <= es_total for c in parts)
 
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 0.0, -0.5, float("nan"), float("inf")])
+    def test_level_outside_the_unit_interval_is_refused(self, alpha):
+        # at 1 the tail has no mass to divide by; past it the VaR index leaves the lattice
+        margins, driver = small_portfolio()
+        with pytest.raises(ValueError, match=r"level must be inside \(0,1\)"):
+            ces_alpha(1, driver, margins, alpha)
+        with pytest.raises(ValueError, match=r"level must be inside \(0,1\)"):
+            allocation_report(driver, margins, alpha)
+
 
 class TestCstd:
     def test_single_risk_equals_std(self):

@@ -313,6 +313,41 @@ class TestAllocate:
         assert_one_line_usage_error(*run(capsys, "allocate", "--portfolio", str(path)))
 
 
+    @pytest.mark.parametrize("alpha", ["1.5", "1", "0", "nan"])
+    def test_level_outside_the_unit_interval_is_usage_error(self, capsys, tmp_path, alpha):
+        path = tmp_path / "portfolio.json"
+        path.write_text(json.dumps({"margins": [{"type": "discrete", "pmf": [0.5, 0.25, 0.25]}] * 3,
+                                    "p": "1/3"}))
+        code, out, err = run(capsys, "allocate", "--portfolio", str(path), "--alpha", alpha)
+        assert_one_line_usage_error(code, out, err)
+        assert "level must be inside (0,1)" in err
+
+
+class TestSeeds:
+    """Seeds key a Philox stream: integers in [0, 2^64) only."""
+
+    @staticmethod
+    def argv(command, tmp_path, seed):
+        if command == "bounds":  # continuous margins at a vector p: Monte Carlo
+            return ["bounds", "--margin", "exp:1", "--p", "1/2,1/3", "--n", "1000",
+                    "--measures", "std", "--seed", seed]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"p": ["1/2"] * 3, "driver": {
+            "type": "exchangeable", "sum": {"d": 3, "values": ["1/8", "3/8", "3/8", "1/8"]}}}))
+        return [command, "--spec", str(path), "--n", "1000", "--seed", seed]
+
+    @pytest.mark.parametrize("command", ["sample", "validate", "bounds"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(10**30)])
+    def test_seed_outside_the_key_range_is_usage_error(self, capsys, tmp_path, command, seed):
+        code, out, err = run(capsys, *self.argv(command, tmp_path, seed))
+        assert_one_line_usage_error(code, out, err)
+        assert "seed must be an integer in [0, 2^64)" in err
+
+    @pytest.mark.parametrize("command", ["sample", "validate", "bounds"])
+    def test_largest_seed_runs(self, capsys, tmp_path, command):
+        assert run(capsys, *self.argv(command, tmp_path, str(2**64 - 1)))[0] == 0
+
+
 class TestReproduce:
     def test_bernoulli_table_passes(self, capsys, tmp_path):
         out_file = tmp_path / "table.csv"
@@ -456,6 +491,46 @@ class TestSampleAndValidate:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
         assert_one_line_usage_error(*run(capsys, "sample", "--spec", str(path), "--n", "5"))
+
+    @pytest.mark.parametrize("rates", [(0.5, 2, 2), (2, 0.5, 0.5)])
+    def test_validate_refuses_margins_of_one_family_with_different_parameters(
+            self, capsys, tmp_path, rates):
+        # the common-p path aggregates d copies of the first margin: here it would check the
+        # sample against the wrong law
+        path = self.rate_spec_file(tmp_path, rates)
+        code, out, err = run(capsys, "validate", "--spec", str(path), "--n", "20000", "--seed", "3")
+        assert_one_line_usage_error(code, out, err)
+        assert "no analytic aggregation path" in err
+
+    def test_validate_equal_exponential_margins_pass(self, capsys, tmp_path):
+        path = self.rate_spec_file(tmp_path, (0.5, 0.5, 0.5))
+        code, out, _ = run(capsys, "validate", "--spec", str(path), "--n", "20000", "--seed", "3")
+        payload = json.loads(out)
+        assert code == 0 and payload["pass"] is True
+        assert payload["checks"][0]["analytic"] == pytest.approx(6.0)
+
+    @staticmethod
+    def rate_spec_file(tmp_path, rates):
+        spec = {"p": ["1/2"] * 3,
+                "driver": {"type": "exchangeable",
+                           "sum": {"d": 3, "values": ["1/8", "3/8", "3/8", "1/8"]}},
+                "margins": [{"type": "exp", "rate": rate} for rate in rates]}
+        path = tmp_path / "rate-spec.json"
+        path.write_text(json.dumps(spec))
+        return path
+
+    @pytest.mark.parametrize("alpha", ["1.5", "inf", "1", "0", "-0.5", "nan"])
+    def test_validate_level_outside_the_unit_interval_is_refused_before_sampling(
+            self, capsys, tmp_path, monkeypatch, alpha):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before the level was checked")
+
+        monkeypatch.setattr("gfgm.cli.sample_x", refuse)
+        path = self.spec_file(tmp_path, with_margins=True)
+        code, out, err = run(capsys, "validate", "--spec", str(path), "--n", "1000",
+                             "--alpha", alpha)
+        assert_one_line_usage_error(code, out, err)
+        assert "level must be inside (0,1)" in err
 
     def test_validate_small_n_rejected(self, capsys, tmp_path):
         path = self.spec_file(tmp_path, with_margins=True)

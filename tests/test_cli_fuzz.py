@@ -197,6 +197,53 @@ def test_portfolio_files(workdir, text):
     call("allocate", "--portfolio", _write(workdir, text), "--alpha", "0.9")
 
 
+# Levels and seeds are passed as --alpha=X and --seed=X, so that "-inf" and "-1e-05" are
+# values, not option names.
+LEVEL = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 5e-324, 1 - 2**-53]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.floats(allow_nan=False).filter(lambda x: not 0 < x < 1),
+).map(repr)
+
+SEED = st.one_of(
+    st.sampled_from([0, 2**64 - 1, 2**64]),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(max_value=-1),
+    st.integers(min_value=2**64),
+).map(str)
+
+
+@FUZZ
+@given(LEVEL)
+def test_allocate_levels(workdir, alpha):
+    code = call("allocate", "--portfolio", _write(workdir, json.dumps(PORTFOLIOS[0])),
+                f"--alpha={alpha}")
+    assert code == (0 if 0 < float(alpha) < 1 else 3)
+
+
+@FUZZ
+@given(LEVEL)
+def test_validate_levels(workdir, alpha):
+    code = call("validate", "--spec", _write(workdir, json.dumps(SPECS[1])), "--n", "1000",
+                f"--alpha={alpha}")
+    if not 0 < float(alpha) < 1:
+        assert code == 3
+
+
+@FUZZ
+@given(SEED, st.sampled_from(["sample", "validate", "bounds"]))
+def test_seeds(workdir, seed, command):
+    if command == "bounds":  # continuous margins at a vector p: Monte Carlo
+        argv = ["bounds", "--margin", "exp:1", "--p", "1/2,1/3", "--n", "500", "--measures", "std"]
+    else:
+        argv = [command, "--spec", _write(workdir, json.dumps(SPECS[1])), "--n", "1000"]
+    code = call(*argv, f"--seed={seed}")
+    if not 0 <= int(seed) < 2**64:
+        assert code == 3
+    elif command != "validate":
+        assert code == 0
+
+
 @FUZZ
 @given(st.integers(min_value=-1, max_value=4), st.sampled_from(["1/2", "1/3", "1/2,1/3"]),
        st.one_of(st.floats(allow_nan=True, allow_infinity=True),

@@ -268,6 +268,16 @@ class TestSampling:
         assert u[:3].tolist() == rows
         assert float(u.sum()) == total
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.7, 1.0, "1"])
+    def test_seed_outside_the_philox_key_range_is_refused(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+            sample_u(r1_spec(), 10, seed=seed)
+
+    def test_largest_seed_keys_the_stream(self):
+        top = sample_u(r1_spec(), 10, seed=2**64 - 1)
+        assert np.array_equal(sample_u(r1_spec(), 10, seed=np.uint64(2**64 - 1)), top)
+        assert not np.array_equal(sample_u(r1_spec(), 10, seed=0), top)
+
     def test_row_blocks_do_not_change_draws(self, monkeypatch):
         import gfgm.copula as copula
         from gfgm import enumerate_vertices

@@ -267,13 +267,13 @@ class TestBasisTable:
     """The bases depend only on d: one int8 table per process and d, certified when built."""
 
     def test_second_call_at_the_same_d_builds_nothing(self, monkeypatch):
-        calls, determinants = [], vertices_module._determinants
+        calls, chunks = [], vertices_module._basis_chunks
 
-        def counting(b):
-            calls.append(len(b))
-            return determinants(b)
+        def counting(columns, size):
+            calls.append((columns, size))
+            return chunks(columns, size)
 
-        monkeypatch.setattr(vertices_module, "_determinants", counting)
+        monkeypatch.setattr(vertices_module, "_basis_chunks", counting)
         enumerate_vertices([F(1, 2), F(1, 3), F(2, 3)])
         calls.clear()
         assert [v.values for v in enumerate_vertices([F(1, 4), F(3, 5), F(1, 2)])] == \
@@ -312,6 +312,16 @@ class TestBasisTable:
         finally:
             vertices_module._basis_table.cache_clear()
 
+    def test_perturbed_lu_determinant_is_refused(self, monkeypatch):
+        det = np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda b: det(b) + 0.3)
+        vertices_module._basis_table.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError, match="LU determinant"):
+                enumerate_vertices([F(1, 2), F(1, 3), F(2, 3)])
+        finally:
+            vertices_module._basis_table.cache_clear()
+
     def test_cap_refused_before_any_table_is_built(self, monkeypatch):
         def refuse(d):
             raise AssertionError(f"basis table built at d={d}")
@@ -320,7 +330,7 @@ class TestBasisTable:
         with pytest.raises(EnumerationCapError):
             enumerate_vertices([F(1, 2)] * (vertices_module.MAX_DIM + 1))
 
-    @pytest.mark.parametrize("d,count", [(2, 4), (3, 58), (4, 3008)])
+    @pytest.mark.parametrize("d,count", [(1, 1), (2, 4), (3, 58), (4, 3008)])
     def test_table_is_int8_with_certified_adjugates(self, d, count):
         cols, q, adj, max_adj = vertices_module._basis_table(d)
         assert {x.dtype for x in (cols, q, adj)} == {np.dtype(np.int8)}
