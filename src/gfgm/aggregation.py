@@ -3,8 +3,8 @@
 For a common margin, given driver sum k the aggregate is the sum of d-k
 copies of the split component Z0 and k copies of Z1, with law L_k; under a
 driver-sum pmf g the sum's law is the mixture sum_k g(k) L_k.
-``ConditionalLaws`` builds each row L_k once per call and mixes rows, or mixes
-the rows' spectra of a few points (the convex fast path) and builds no row:
+``ConditionalLaws`` builds each row L_k once per call and measures or mixes
+rows, or mixes the spectra of a few points (the convex fast path) instead:
 
 * discrete margins: L_k is a lattice pmf, the inverse FFT of
   Z0hat^(d-k) Z1hat^k, with powers by repeated squaring,
@@ -42,7 +42,8 @@ from functools import cache, cached_property, partial
 
 import numpy as np
 
-from .distributions import LatticeDistribution, MixedErlangDistribution, log_mean_exp
+from .distributions import (_CDF_SLACK, LatticeDistribution, MixedErlangDistribution,
+                            _normalized, log_mean_exp)
 from .drivers import DriverStack, as_driver
 from .margins import (
     DiscreteMargin,
@@ -58,6 +59,7 @@ _ETA_EPS = 1e-12
 _GRID_ROW_NODES = 1 << 22
 _GRID_TABLE_NODES = 1 << 24
 _STAGE_ROW_NODES = 1 << 20
+_BLOCK_NODES = 1 << 16  # survival nodes of a block of streamed rows: 0.5 MB
 
 
 @cache
@@ -159,7 +161,8 @@ class ConditionalLaws:
     """Laws L_k, k = 0..d, of the sum of d common margins given driver sum k.
 
     ``mix`` returns the law for a SumPmf or extremal point from rows, each built
-    once on first use, or the laws of a list of them from their spectra.  Every
+    once on first use, or the laws of a list of them from their spectra, and
+    ``evaluate_points`` measures lattice or grid points from row survivals.  Every
     row, and every pmf an inverse FFT gives, has its mean checked against
     sum_k w_k ((d-k) E[Z0] + k E[Z1]): within 1e-8 relative for discrete and
     exponential margins, 1e-6 absolute on the uniform grid (default step d/2^15,
@@ -265,10 +268,13 @@ class ConditionalLaws:
                 row[k:] = _stage_weights(k, self.p, int(m_max))
             self._check_mean([(k, 1.0)], row)
         else:
-            row = self._inverse(self._powers(0, [self.d - k])[self.d - k]
-                                * self._powers(1, [k])[k], [(k, 1.0)]).copy()
+            row = self._lattice_row(k).copy()
         self._rows[k] = row
         return row
+
+    def _lattice_row(self, k: int, n: int = 1) -> np.ndarray:  # the budget counts n pmfs more
+        return self._inverse(self._powers(0, [self.d - k])[self.d - k] * self._powers(1, [k])[k],
+                             [(k, 1.0)], n)
 
     @cached_property
     def _split_moments(self) -> list[tuple[float, float]]:
@@ -341,6 +347,64 @@ class ConditionalLaws:
             pmf[:] = self._inverse(sum(w * z0[self.d - k] * z1[k] for k, w in pairs), pairs,
                                    len(pmfs))
         return self._laws(pmfs, all_pairs)
+
+    def evaluate_points(self, points, measures) -> list[list[float]]:
+        """Values of ``measures`` at extremal points of a lattice or grid margin, a list a
+        point, those of ``evaluate(self.mix(point), m)`` to round-off.  A point's law mixes
+        its rows' survivals S_k[j] = P(L_k >= j), sums of nonnegative terms: VaR is the
+        smallest j with 1 - (w1 S_k1 + w2 S_k2)[j+1] >= level - 1e-12, as in
+        ``LatticeDistribution.quantile``, by one bisection for a block of points, and ES adds
+        h (w1 R_k1 + w2 R_k2)[j+1] / (1 - level), R_k[j] = sum_{i>=j} S_k[i].  The smaller
+        side of dp is held; the other side's rows stream through in blocks of
+        ``_BLOCK_NODES``, and the held S become R in place at the end.  The grid budget
+        counts every row."""
+        def survival(k):  # of row k normalized as a law is, for j = 0..size
+            probs = _normalized(self._lattice_row(k, n_rows), ArithmeticError)[0]
+            return np.append(np.cumsum(probs[::-1])[::-1], 0.0)
+        all_pairs = [_mixing_weights(pt, self.d) for pt in points]
+        keys = np.array([(pt.k1, pt.k2) for pt in points])
+        weights = np.array([(pairs + [(0, 0.0)])[:2] for pairs in all_pairs])[:, :, 1]
+        side = int(len(set(keys[:, 0])) > len(set(keys[:, 1])))  # 1: hold the k2 side
+        held_ks, ha = np.unique(keys[:, side], return_inverse=True)
+        streamed, wa, wb = keys[:, 1 - side], weights[:, side], weights[:, 1 - side]
+        streamed_ks, n_rows, width = np.unique(streamed), len(set(keys.flat)), self.size + 1
+        held = np.empty((held_ks.size, width))
+        for k, row in zip(held_ks.tolist(), held):
+            row[:] = survival(k)
+        index = {m.param: np.empty(len(points), int) for m in measures if m.kind in ("var", "es")}
+        tails = {m.param: np.empty(len(points)) for m in measures if m.kind == "es"}
+        step = max(1, _BLOCK_NODES // width)
+        for start in range(0, streamed_ks.size, step):
+            block_ks = streamed_ks[start:start + step]
+            block = np.empty((block_ks.size, width))
+            for k, row in zip(block_ks.tolist(), block):  # the degenerate point's row dp is held
+                row[:] = held[held_ks == k][0] if k in held_ks else survival(k)
+            at = np.flatnonzero((streamed >= block_ks[0]) & (streamed <= block_ks[-1]))
+            ia, ib, w_a, w_b = ha[at], np.searchsorted(block_ks, streamed[at]), wa[at], wb[at]
+            for a, found in index.items():
+                below, above = np.full(at.size, -1), np.full(at.size, self.size - 1)
+                while np.any(open_ := above - below > 1):
+                    mid = np.where(open_, (below + above) // 2, above)
+                    cdf = 1.0 - (w_a * held[ia, mid + 1] + w_b * block[ib, mid + 1])
+                    ok = cdf >= a - _CDF_SLACK
+                    above, below = np.where(ok, mid, above), np.where(ok, below, mid)
+                found[at] = above
+            np.cumsum(block[:, ::-1], axis=1, out=block[:, ::-1])
+            for a, tail in tails.items():
+                tail[at] = w_b * block[ib, index[a][at] + 1]
+        for row in held:
+            np.cumsum(row[::-1], out=row[::-1])
+        for a, tail in tails.items():
+            tail[:] = self.h * index[a] + self.h * (tail + wa * held[ha, index[a] + 1]) / (1 - a)
+        columns = []
+        for m in measures:
+            if m.kind in ("var", "es"):
+                columns.append(self.h * index[m.param] if m.kind == "var" else tails[m.param])
+            elif m.kind == "entropic":
+                columns.append([self._log_mgf(q, m.param * self.h) / m.param for q in all_pairs])
+            else:
+                columns.append([math.sqrt(self.h**2 * self._variance(q)) for q in all_pairs])
+        return np.array(columns, dtype=float).T.tolist()
 
 
 class SplitTable:

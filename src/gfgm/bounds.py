@@ -4,7 +4,8 @@ Two enumeration routes:
 
 * common parameter p, identical margins: the sum's law only depends on the
   driver through its component-sum pmf, so the analytic extremal points of
-  the fixed-mean sum class are enumerated (works at any dimension),
+  the fixed-mean sum class are enumerated (works at any dimension) and read
+  from row survival tables (discrete, uniform) or one law each (exp, Bernoulli),
 * heterogeneous p (dimension <= 5): the vertices of the Bernoulli Fréchet
   class are enumerated exactly and aggregated together, one stacked driver
   mixture per block of vertices.
@@ -99,12 +100,15 @@ def _margin_desc(margin) -> str:
 
 def _evaluate_points(margin, d: int, p, points, measures, grid_h):
     """Measure values per point, from one table of conditional laws for the call, and the
-    grid step used (None off the uniform grid).  Points mix rows, one inverse FFT a row,
-    unless there are fewer points than rows they touch (the fast path's two): then they
-    mix spectra, one inverse FFT a point."""
+    grid step used (None off the uniform grid).  Fewer points than rows they touch (the fast
+    path's two) mix spectra, one inverse FFT a point; more read the rows' survivals on
+    lattice and grid margins (``ConditionalLaws.evaluate_points``) and mix rows otherwise."""
     laws = None if margin == "bernoulli" else ConditionalLaws(margin, d, p, grid_h)
+    step = laws.h if isinstance(margin, UniformMargin) else None
     if laws is not None and len(points) < len({k for pt in points for k in (pt.k1, pt.k2)}):
         dists = aggregate(margin, d, points, p, grid_h=grid_h, laws=laws)
+    elif laws is not None and laws.h is not None:
+        return laws.evaluate_points(points, measures), step
     else:
         dists = (aggregate(margin, d, pt, p, grid_h=grid_h, laws=laws) for pt in points)
     rows, dropped = [], 0.0
@@ -116,7 +120,7 @@ def _evaluate_points(margin, d: int, p, points, measures, grid_h):
             raise ValueError(f"{m.label}: 1 - level = {1.0 - m.param:.3g} is within a factor "
                              f"{_TAIL_MASS_FACTOR:g} of the tail mass {dropped:.3g} that the "
                              "exponential laws drop, too far out to compare the points")
-    return rows, laws.h if isinstance(margin, UniformMargin) else None
+    return rows, step
 
 
 def _report(margin, d, p, measures, labels, rows, metadata, fixed=False) -> RiskReport:

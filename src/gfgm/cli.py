@@ -267,8 +267,9 @@ def cmd_validate(args) -> int:
     # the nodes by their atoms, and other laws are continuous
     at = float(analytic.cdf(q_emp))
     below = float(analytic.cdf(np.ceil(q_emp) - 1)) if analytic.kind == "lattice" else at
-    # alpha (1 - alpha) / n would underflow to 0 at a subnormal alpha; its root does not
-    z_var = max(below - alpha, alpha - at, 0.0) / (np.sqrt(alpha * (1 - alpha)) / np.sqrt(n))
+    # q_emp is the m-th order statistic, m = max(1, ceil(n alpha)), so F(q_emp) ~ Beta(m, n-m+1)
+    m = max(1, int(np.ceil(n * alpha)))
+    z_var = max(below - alpha, alpha - at, 0.0) * (n + 1) * np.sqrt((n + 2) / (m * (n - m + 1)))
     checks.append((Measure("var", alpha).label, var(analytic, alpha), q_emp, z_var))
     es_an = es(analytic, alpha)
     tail = np.clip(sample.samples - var(analytic, alpha), 0.0, None)

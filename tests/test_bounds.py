@@ -15,6 +15,7 @@ from gfgm import (
     var_bounds_common_p,
 )
 import gfgm.bounds
+from gfgm.aggregation import ConditionalLaws
 from gfgm.bounds import ConvexBoundViolation
 from gfgm.distributions import EmpiricalDistribution
 from gfgm.reference import EXAMPLE_FINAL_VERTICES, example_final_margins
@@ -116,10 +117,14 @@ class TestConvexGuard:
 
     D, P = 6, F(1, 3)
 
-    def bounds_with_one_point_scaled(self, monkeypatch, measure, factor):
+    def target(self) -> int:
+        """Position of the first point that is neither convex-order extreme."""
         designated = {min_convex_point(self.D, self.P).index - 1,
                       max_convex_point(self.D, self.P).index - 1}
-        target = min(set(range(len(extremal_points(self.D, self.P)))) - designated)
+        return min(set(range(len(extremal_points(self.D, self.P)))) - designated)
+
+    def bounds_with_one_point_scaled(self, monkeypatch, measure, factor):
+        target = self.target()
         evaluate, calls = gfgm.bounds.evaluate, []
 
         def scaled(dist, m):  # one measure, so the calls run over the points in order
@@ -143,6 +148,28 @@ class TestConvexGuard:
         assert report.minima["var:0.9"][1] == label
         report, label = self.bounds_with_one_point_scaled(monkeypatch, "var:0.9", 2.0)
         assert report.maxima["var:0.9"][1] == label
+
+    @pytest.mark.parametrize("measure, factor, match", [
+        ("es:0.9", 0.5, "es:0.9: minimum .* undercuts"),
+        ("std", 2.0, "std: maximum .* exceeds"),
+    ])
+    def test_a_discrete_point_off_the_convex_bounds_raises(self, monkeypatch, measure, factor,
+                                                           match):
+        # lattice points are measured from the table's row survivals, not by evaluate
+        target, table = self.target(), ConditionalLaws.evaluate_points
+
+        def scaled(laws, points, measures):
+            rows = table(laws, points, measures)
+            rows[target] = [value * factor for value in rows[target]]
+            return rows
+
+        monkeypatch.setattr(ConditionalLaws, "evaluate_points", scaled)
+        margin = DiscreteMargin.from_power_cdf(0.4, 2.0, 8)
+        report = bounds_common_p(margin, self.D, self.P, ["var:0.9"])  # VaR is never checked
+        extreme = report.minima if factor < 1 else report.maxima
+        assert extreme["var:0.9"][1] == report.point_labels[target]
+        with pytest.raises(ConvexBoundViolation, match=match):
+            bounds_common_p(margin, self.D, self.P, [measure])
 
 
 class TestGeneralP:

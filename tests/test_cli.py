@@ -509,6 +509,24 @@ class TestSampleAndValidate:
         assert code == 0 and payload["pass"] is True
         assert payload["checks"][0]["analytic"] == pytest.approx(6.0)
 
+    def test_validate_scores_var_below_one_over_n_by_its_order_statistic(self, capsys, tmp_path):
+        # at n alpha < 1 the empirical VaR is the sample minimum, whose F is Beta(1, n):
+        # far from alpha, but not by many of its own standard deviations
+        from fractions import Fraction
+        from gfgm import min_convex
+
+        spec = {"p": ["1/2"] * 3,
+                "driver": {"type": "exchangeable", "sum": min_convex(3, Fraction(1, 2)).to_json()},
+                "margins": [{"type": "exp", "rate": 0.5}] * 3}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, _ = run(capsys, "validate", "--spec", str(path), "--n", "1000",
+                           "--alpha", "1e-10", "--seed", "3")
+        payload = json.loads(out)
+        assert payload["checks"][1]["name"] == "var:1e-10"
+        assert payload["checks"][1]["z"] < 0.01
+        assert code == 0 and payload["pass"] is True
+
     @staticmethod
     def rate_spec_file(tmp_path, rates):
         spec = {"p": ["1/2"] * 3,

@@ -26,6 +26,7 @@ from gfgm import (
     bounds_general_p,
     convex_bounds_fast,
     evaluate,
+    parse_measure,
 )
 from gfgm import aggregation
 from gfgm.aggregation import ConditionalLaws, _discretize_unit_density
@@ -303,6 +304,41 @@ def test_uniform_table_budget_counts_rows(monkeypatch):
     laws.mix(max_convex_point(6, F(1, 3)))  # two more rows: three in all
     with pytest.raises(MemoryError, match="budget"):
         laws.mix(extremal_points(6, F(1, 3))[0])  # pair (0, 3) needs a fourth
+
+
+def test_full_enumeration_counts_the_table_rows_against_the_grid_budget(monkeypatch):
+    # d=6, p=1/3 touches all seven rows; the table refuses before its first inverse FFT
+    size = ConditionalLaws(UniformMargin(), 6, F(1, 3), grid_h=1.0 / 32).size
+    monkeypatch.setattr(aggregation, "_GRID_TABLE_NODES", 3 * size)
+    inverses = []
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kwargs: inverses.append(args))
+    with pytest.raises(MemoryError, match="7 grid pmfs exceed the budget"):
+        bounds_common_p(UniformMargin(), 6, F(1, 3), ["var:0.9"], grid_h=1.0 / 32)
+    assert inverses == []
+
+
+TABLE_MEASURES = [parse_measure(f"{kind}:{alpha}") for alpha in (0.9, 0.95, 0.995)
+                  for kind in ("var", "es")] + [parse_measure("entropic:0.01"), parse_measure("std")]
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+@pytest.mark.parametrize("d", [20, 60, 100])
+@pytest.mark.parametrize("family", ["discrete", "uniform"])
+def test_table_matches_per_point_laws(family, d, p):
+    # the oracle is a law per point, mixed from rows (ConditionalLaws.mix) and evaluated;
+    # small margins and a coarse grid keep its thousands of laws quick
+    margin, h = ((DiscreteMargin.from_power_cdf(0.2, 3.0, 20), None) if family == "discrete"
+                 else (UniformMargin(), 1.0 / 16))
+    points = extremal_points(d, p)
+    got = np.array(ConditionalLaws(margin, d, p, h).evaluate_points(points, TABLE_MEASURES))
+    laws = ConditionalLaws(margin, d, p, h)
+    want = np.array([[evaluate(laws.mix(pt), m) for m in TABLE_MEASURES] for pt in points])
+    for m, column, oracle in zip(TABLE_MEASURES, got.T, want.T):
+        if m.kind == "var":
+            np.testing.assert_array_equal(column, oracle)
+        else:
+            np.testing.assert_allclose(column, oracle, rtol=1e-11, atol=0)
+        assert (np.argmin(column), np.argmax(column)) == (np.argmin(oracle), np.argmax(oracle))
 
 
 def test_discrete_entropic_in_closed_form_at_moderate_gamma():
