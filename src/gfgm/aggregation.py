@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import mmap
 from functools import cache, cached_property, partial
 
 import numpy as np
@@ -368,7 +369,8 @@ class ConditionalLaws:
         held_ks, ha = np.unique(keys[:, side], return_inverse=True)
         streamed, wa, wb = keys[:, 1 - side], weights[:, side], weights[:, 1 - side]
         streamed_ks, n_rows, width = np.unique(streamed), len(set(keys.flat)), self.size + 1
-        held = np.empty((held_ks.size, width))
+        # mmap, not malloc: freeing it would raise glibc's trim threshold for every later call
+        held = np.frombuffer(mmap.mmap(-1, held_ks.size * width * 8)).reshape(-1, width)
         for k, row in zip(held_ks.tolist(), held):
             row[:] = survival(k)
         index = {m.param: np.empty(len(points), int) for m in measures if m.kind in ("var", "es")}
@@ -392,8 +394,7 @@ class ConditionalLaws:
             np.cumsum(block[:, ::-1], axis=1, out=block[:, ::-1])
             for a, tail in tails.items():
                 tail[at] = w_b * block[ib, index[a][at] + 1]
-        for row in held:
-            np.cumsum(row[::-1], out=row[::-1])
+        np.cumsum(held[:, ::-1], axis=1, out=held[:, ::-1])
         for a, tail in tails.items():
             tail[:] = self.h * index[a] + self.h * (tail + wa * held[ha, index[a] + 1]) / (1 - a)
         columns = []
