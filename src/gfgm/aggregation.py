@@ -3,8 +3,9 @@
 For a common margin, given driver sum k the aggregate is the sum of d-k
 copies of the split component Z0 and k copies of Z1, with law L_k; under a
 driver-sum pmf g the sum's law is the mixture sum_k g(k) L_k.
-``ConditionalLaws`` builds each row L_k once per call and measures or mixes
-rows, or mixes the spectra of a few points (the convex fast path) instead:
+``ConditionalLaws`` mixes a point's rows into its law, on a lattice their
+spectra before one inverse FFT, or, for a full enumeration on a lattice,
+measures every point from its rows' survivals:
 
 * discrete margins: L_k is a lattice pmf, the inverse FFT of
   Z0hat^(d-k) Z1hat^k, with powers by repeated squaring,
@@ -161,13 +162,14 @@ def _stage_tail_root(k: int, p: float) -> float:
 class ConditionalLaws:
     """Laws L_k, k = 0..d, of the sum of d common margins given driver sum k.
 
-    ``mix`` returns the law for a SumPmf or extremal point from rows, each built
-    once on first use, or the laws of a list of them from their spectra, and
-    ``evaluate_points`` measures lattice or grid points from row survivals.  Every
-    row, and every pmf an inverse FFT gives, has its mean checked against
-    sum_k w_k ((d-k) E[Z0] + k E[Z1]): within 1e-8 relative for discrete and
-    exponential margins, 1e-6 absolute on the uniform grid (default step d/2^15,
-    at most 2^22 nodes a pmf and 2^24 in all).  Nothing is kept across calls.
+    ``mix`` returns the law for a SumPmf or extremal point, or the laws of a list of
+    them: lattice and grid laws from their mixed spectra, mixed-Erlang laws from the
+    stage rows, each built once on first use.  ``evaluate_points`` measures lattice or
+    grid points from row survivals.  Every row, and every pmf an inverse FFT gives,
+    has its mean checked against sum_k w_k ((d-k) E[Z0] + k E[Z1]): within 1e-8
+    relative for discrete and exponential margins, 1e-6 absolute on the uniform grid
+    (default step d/2^15, at most 2^22 nodes a pmf, and 2^24 in the pmfs one call
+    holds).  No lattice or grid pmf is kept across calls.
     """
 
     def __init__(self, margin, d: int, p, grid_h: float | None = None):
@@ -235,12 +237,13 @@ class ConditionalLaws:
             square = square * square if bit <= top else square
         return out
 
-    def _inverse(self, spectrum: np.ndarray, pairs, n: int = 1) -> np.ndarray:
-        """pmf of a row or point law from its spectrum, cut to the lattice and checked; the
-        grid budget counts the rows built and the n pmfs asked for."""
-        n += len(self._rows)
+    def _check_budget(self, n: int) -> None:
+        """Refuses a call that would hold n grid pmfs past the budget, before it builds any."""
         if isinstance(self.margin, UniformMargin) and n * self.size > _GRID_TABLE_NODES:
             raise MemoryError(f"{n} grid pmfs exceed the budget; raise grid_h")
+
+    def _inverse(self, spectrum: np.ndarray, pairs) -> np.ndarray:
+        """pmf of a row or point law from its spectrum, cut to the lattice and checked."""
         pmf = np.fft.irfft(spectrum, n=self._length)[: self.size]
         self._check_mean(pairs, pmf)
         return pmf
@@ -255,27 +258,25 @@ class ConditionalLaws:
                                   f"deviates from {expected}")
 
     def _row(self, k: int) -> np.ndarray:
+        """Stage weights of exponential row k beyond d: k + NB(k, 1-p) stages, kept."""
         if k in self._rows:
             return self._rows[k]
-        if self.h is None:  # stage weights beyond d: k + NB(k, 1-p) stages
-            row = np.ones(1)
-            if k:  # ten stages past the root cover its float error
-                m_max = np.ceil(_stage_tail_root(k, self.p)) + 10.0
-                if not k + m_max + 1 <= _STAGE_ROW_NODES:  # also a nan
-                    raise ValueError(f"exponential margins at d={self.d}, p={self.p} need "
-                                     f"{k + m_max + 1:.4g} Erlang stages at driver sum {k}, "
-                                     f"over the budget of {_STAGE_ROW_NODES}; p is too near 1")
-                row = np.zeros(k + int(m_max) + 1)
-                row[k:] = _stage_weights(k, self.p, int(m_max))
-            self._check_mean([(k, 1.0)], row)
-        else:
-            row = self._lattice_row(k).copy()
+        row = np.ones(1)
+        if k:  # ten stages past the root cover its float error
+            m_max = np.ceil(_stage_tail_root(k, self.p)) + 10.0
+            if not k + m_max + 1 <= _STAGE_ROW_NODES:  # also a nan
+                raise ValueError(f"exponential margins at d={self.d}, p={self.p} need "
+                                 f"{k + m_max + 1:.4g} Erlang stages at driver sum {k}, "
+                                 f"over the budget of {_STAGE_ROW_NODES}; p is too near 1")
+            row = np.zeros(k + int(m_max) + 1)
+            row[k:] = _stage_weights(k, self.p, int(m_max))
+        self._check_mean([(k, 1.0)], row)
         self._rows[k] = row
         return row
 
-    def _lattice_row(self, k: int, n: int = 1) -> np.ndarray:  # the budget counts n pmfs more
+    def _lattice_row(self, k: int) -> np.ndarray:
         return self._inverse(self._powers(0, [self.d - k])[self.d - k] * self._powers(1, [k])[k],
-                             [(k, 1.0)], n)
+                             [(k, 1.0)])
 
     @cached_property
     def _split_moments(self) -> list[tuple[float, float]]:
@@ -310,44 +311,40 @@ class ConditionalLaws:
         return sum(w * ((self.d - k) * v0 + k * v1 + (m - mean) ** 2)
                    for (k, w), m in zip(pairs, means))
 
-    def _laws(self, pmfs: np.ndarray, all_pairs) -> list[LatticeDistribution]:
-        """Lattice or grid laws of a stack of pmfs, with their exact log-mgfs and variances."""
-        return LatticeDistribution.stack(
-            pmfs, [partial(self._log_mgf, pairs) for pairs in all_pairs],
-            [self._variance(pairs) for pairs in all_pairs],
-            self.h if isinstance(self.margin, UniformMargin) else None)
-
     def mix(self, sum_pmf):
         """Mixed-Erlang, lattice or grid law of the sum under a sum pmf or extremal point,
         or the list of laws under a list of them.
 
-        A law is linear in its rows, so it mixes on either side of the inverse FFT: one
-        law mixes the pmfs of its rows, a list of lattice or grid laws their spectra
-        sum_k w_k Z0^(d-k) Z1^k, from one squaring pass per split over the exponents of
-        the whole list, with one inverse FFT a law and no row.
+        A law is linear in its rows, so a mixed-Erlang law mixes the stage weights of its
+        rows, and a lattice or grid law the rows' spectra sum_k w_k Z0^(d-k) Z1^k, from
+        one squaring pass per split over the exponents of the whole list, with one inverse
+        FFT a law and no row.
         """
         if isinstance(sum_pmf, list):
             return [self.mix(g) for g in sum_pmf] if self.h is None else self._mix_spectra(sum_pmf)
+        if self.h is not None:
+            return self._mix_spectra([sum_pmf])[0]
         pairs = _mixing_weights(sum_pmf, self.d)
         rows = [self._row(k) for k, _ in pairs]
         mixed = np.zeros(max(row.size for row in rows))
         for (_, w), row in zip(pairs, rows):
             mixed[: row.size] += w * row
-        if self.h is not None:
-            return self._laws(mixed[None], [pairs])[0]
         eta = mixed[: int(np.searchsorted(np.cumsum(mixed), 1.0 - _ETA_EPS)) + 1]
         return MixedErlangDistribution(self.beta, self.d, eta, variance=self._variance(pairs),
                                        log_mgf=partial(self._log_mgf, pairs))
 
     def _mix_spectra(self, sum_pmfs) -> list[LatticeDistribution]:
         all_pairs = [_mixing_weights(g, self.d) for g in sum_pmfs]
+        self._check_budget(len(all_pairs))
         z0 = self._powers(0, {self.d - k for pairs in all_pairs for k, _ in pairs})
         z1 = self._powers(1, {k for pairs in all_pairs for k, _ in pairs})
         pmfs = np.empty((len(all_pairs), self.size))
         for pmf, pairs in zip(pmfs, all_pairs):
-            pmf[:] = self._inverse(sum(w * z0[self.d - k] * z1[k] for k, w in pairs), pairs,
-                                   len(pmfs))
-        return self._laws(pmfs, all_pairs)
+            pmf[:] = self._inverse(sum(w * z0[self.d - k] * z1[k] for k, w in pairs), pairs)
+        return LatticeDistribution.stack(
+            pmfs, [partial(self._log_mgf, pairs) for pairs in all_pairs],
+            [self._variance(pairs) for pairs in all_pairs],
+            self.h if isinstance(self.margin, UniformMargin) else None)
 
     def evaluate_points(self, points, measures) -> list[list[float]]:
         """Values of ``measures`` at extremal points of a lattice or grid margin, a list a
@@ -358,17 +355,18 @@ class ConditionalLaws:
         h (w1 R_k1 + w2 R_k2)[j+1] / (1 - level), R_k[j] = sum_{i>=j} S_k[i].  The smaller
         side of dp is held; the other side's rows stream through in blocks of
         ``_BLOCK_NODES``, and the held S become R in place at the end.  The grid budget
-        counts every row."""
+        counts every row the call touches, as if each were held."""
         def survival(k):  # of row k normalized as a law is, for j = 0..size
-            probs = _normalized(self._lattice_row(k, n_rows), ArithmeticError)[0]
+            probs = _normalized(self._lattice_row(k), ArithmeticError)
             return np.append(np.cumsum(probs[::-1])[::-1], 0.0)
         all_pairs = [_mixing_weights(pt, self.d) for pt in points]
         keys = np.array([(pt.k1, pt.k2) for pt in points])
+        self._check_budget(len(set(keys.flat)))
         weights = np.array([(pairs + [(0, 0.0)])[:2] for pairs in all_pairs])[:, :, 1]
         side = int(len(set(keys[:, 0])) > len(set(keys[:, 1])))  # 1: hold the k2 side
         held_ks, ha = np.unique(keys[:, side], return_inverse=True)
         streamed, wa, wb = keys[:, 1 - side], weights[:, side], weights[:, 1 - side]
-        streamed_ks, n_rows, width = np.unique(streamed), len(set(keys.flat)), self.size + 1
+        streamed_ks, width = np.unique(streamed), self.size + 1
         # mmap, not malloc: freeing it would raise glibc's trim threshold for every later call
         held = np.frombuffer(mmap.mmap(-1, held_ks.size * width * 8)).reshape(-1, width)
         for k, row in zip(held_ks.tolist(), held):

@@ -102,7 +102,8 @@ def _evaluate_points(margin, d: int, p, points, measures, grid_h):
     """Measure values per point, from one table of conditional laws for the call, and the
     grid step used (None off the uniform grid).  Fewer points than rows they touch (the fast
     path's two) mix spectra, one inverse FFT a point; more read the rows' survivals on
-    lattice and grid margins (``ConditionalLaws.evaluate_points``) and mix rows otherwise."""
+    lattice and grid margins (``ConditionalLaws.evaluate_points``), and otherwise each point
+    gets its own law: mixed Erlang stage rows, or the Bernoulli driver sum's own pmf."""
     laws = None if margin == "bernoulli" else ConditionalLaws(margin, d, p, grid_h)
     step = laws.h if isinstance(margin, UniformMargin) else None
     if laws is not None and len(points) < len({k for pt in points for k in (pt.k1, pt.k2)}):

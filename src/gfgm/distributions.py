@@ -37,24 +37,20 @@ _STIRLING_ERRORS = [math.lgamma(j + 1.0) - (j + 0.5) * math.log(j) + j - _HALF_L
                     for j in range(1, 16)]
 
 
-def log_sum_exp(values) -> float:
-    """log(sum(exp(values))), shifted by the maximum so that it cannot overflow."""
-    values = np.asarray(values, dtype=float)
-    top = values.max()
-    return float(top + np.log(np.exp(values - top).sum()))
-
-
 def log_mean_exp(weights, values) -> float:
     """log(sum_k w_k e^{v_k} / sum_k w_k) as c + log1p(sum_k w_k expm1(v_k - c) / sum_k w_k),
     c the largest value, so values near 0 keep their size rather than the round-off of the
-    weights' sum; log-sum-exp where the values lie far apart and the sum nears -1."""
+    weights' sum; where the values lie far apart and the sum nears -1, the log-sum-exp of
+    log w_k + v_k, shifted by its maximum so that it cannot overflow."""
     weights, values = np.asarray(weights, dtype=float), np.asarray(values, dtype=float)
     top, total = values.max(), weights.sum()
     mixed = float(np.dot(weights, np.expm1(values - top))) / total
     if mixed > -0.5:
         return float(top) + math.log1p(mixed)
     keep = weights > 0
-    return log_sum_exp(np.log(weights[keep]) + values[keep]) - math.log(total)
+    shifted = np.log(weights[keep]) + values[keep]
+    peak = shifted.max()
+    return float(peak + np.log(np.exp(shifted - peak).sum())) - math.log(total)
 
 
 def poisson_weight(lam: float, j: int) -> float:
@@ -87,9 +83,9 @@ def poisson_weights(lam: float, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _normalized(probs, fault=ValueError) -> tuple[np.ndarray, np.ndarray]:
+def _normalized(probs, fault=ValueError) -> np.ndarray:
     """A pmf, or each row of a stack of pmfs, checked (``fault`` for an entry below -1e-9
-    or a mass off 1 by 1e-10), clipped and normalized along the last axis, with its cdf."""
+    or a mass off 1 by 1e-10), clipped and normalized along the last axis."""
     probs = np.asarray(probs, dtype=float)
     if probs.min() < -1e-9:
         raise fault(f"pmf entry {probs.min()} too negative for round-off")
@@ -99,7 +95,7 @@ def _normalized(probs, fault=ValueError) -> tuple[np.ndarray, np.ndarray]:
     if abs(worst - 1.0) > 1e-10:
         raise fault(f"pmf mass {worst} deviates from 1 beyond 1e-10")
     probs /= totals
-    return probs, np.cumsum(probs, axis=-1)
+    return probs
 
 
 class LatticeDistribution:
@@ -114,10 +110,10 @@ class LatticeDistribution:
     _node_slack = 0.0  # the cdf counts a node this many steps above x
 
     def __init__(self, probs, log_mgf=None, variance=None):
-        self._set(*_normalized(probs), log_mgf, variance)
+        self._set(_normalized(probs), log_mgf, variance)
 
-    def _set(self, probs, cdf, log_mgf, variance) -> None:
-        self.probs, self._cdf = probs, cdf
+    def _set(self, probs, log_mgf, variance) -> None:
+        self.probs, self._cdf = probs, np.cumsum(probs)
         self._exact_log_mgf = log_mgf
         self._exact_variance = variance
         self._quantiles: dict[float, float] = {}
@@ -129,10 +125,9 @@ class LatticeDistribution:
         ``GridDistribution(grid_h, ...)``; round-off past the checks raises ArithmeticError."""
         cls = LatticeDistribution if grid_h is None else GridDistribution
         out = []
-        for row, cdf, log_mgf, variance in zip(*_normalized(probs, ArithmeticError), log_mgfs,
-                                               variances):
+        for row, log_mgf, variance in zip(_normalized(probs, ArithmeticError), log_mgfs, variances):
             dist = cls.__new__(cls)
-            dist._set(row, cdf, log_mgf, variance)
+            dist._set(row, log_mgf, variance)
             if grid_h is not None:
                 dist.h = float(grid_h)
             out.append(dist)
@@ -382,8 +377,8 @@ class EmpiricalDistribution:
     def stop_loss(self, t: float) -> float:
         return float(np.clip(self.samples - t, 0.0, None).mean())
 
-    def log_mgf(self, gamma: float) -> float:
-        return log_sum_exp(gamma * self.samples) - float(np.log(self.n))
+    def log_mgf(self, gamma: float) -> float:  # unit weights, with no n-length array of them
+        return log_mean_exp(np.broadcast_to(1.0, self.n), gamma * self.samples)
 
 
 AggregateDistribution = LatticeDistribution | MixedErlangDistribution | EmpiricalDistribution

@@ -215,6 +215,23 @@ class TestBounds:
         values = json.loads(out)["values"]["entropic:1e-200"]
         np.testing.assert_allclose(values, mean, rtol=1e-15)
 
+    def test_monte_carlo_entropic_at_tiny_gamma_is_the_sample_mean(self, capsys):
+        # the sample's log-mgf was log(sum e^{gamma x}) - log n, which cancels to 0.0
+        from fractions import Fraction as F
+
+        from gfgm import DenseDriver, EmpiricalDistribution, ExponentialMargin, enumerate_vertices
+        from gfgm.copula import SharedDraw
+
+        code, out, _ = run(capsys, "bounds", "--margin", "exp:1", "--p", "1/2,1/3", "--n", "1000",
+                           "--measures", "entropic:1e-200")
+        assert code == 0
+        p = [F(1, 2), F(1, 3)]
+        draw = SharedDraw(p, [ExponentialMargin(1.0)] * 2, 1000, seed=0)
+        means = [EmpiricalDistribution(draw.sums(DenseDriver(v))).mean()
+                 for v in enumerate_vertices(p)]
+        np.testing.assert_allclose(json.loads(out)["values"]["entropic:1e-200"], means,
+                                   rtol=1e-12, atol=0)
+
 
     @pytest.mark.parametrize("grid", ["nan", "inf", "0", "1e10", "1e-311"])
     def test_grid_step_outside_the_support_or_the_budget_is_usage_error(self, capsys, grid):

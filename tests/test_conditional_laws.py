@@ -290,20 +290,34 @@ def test_mixed_erlang_quantile_bracket_stays_finite(monkeypatch):
         dist.quantile(0.9)
 
 
-def test_two_point_call_touches_at_most_four_rows():
+def count_inverse_ffts(monkeypatch) -> list:
+    calls = []
+
+    def counted(*args, _irfft=np.fft.irfft, **kwargs):
+        calls.append(args)
+        return _irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    return calls
+
+
+def test_single_lattice_law_mixes_spectra_and_builds_no_rows(monkeypatch):
     laws = ConditionalLaws(d100_discrete_margin(), 100, F(1, 3))
-    laws.mix(min_convex_point(100, F(1, 3)))
-    laws.mix(max_convex_point(100, F(1, 3)))
-    assert sorted(laws._rows) == [0, 33, 34, 100]
+    inverses = count_inverse_ffts(monkeypatch)
+    laws.mix(min_convex_point(100, F(1, 3)))  # the pair (33, 34): one inverse FFT
+    assert len(inverses) == 1 and laws._rows == {}
 
 
-def test_uniform_table_budget_counts_rows(monkeypatch):
+def test_uniform_grid_budget_counts_the_pmfs_of_one_call(monkeypatch):
     laws = ConditionalLaws(UniformMargin(), 6, F(1, 3), grid_h=1.0 / 32)
     monkeypatch.setattr(aggregation, "_GRID_TABLE_NODES", 3 * laws.size)
-    laws.mix(min_convex_point(6, F(1, 3)))  # degenerate point: one row
-    laws.mix(max_convex_point(6, F(1, 3)))  # two more rows: three in all
-    with pytest.raises(MemoryError, match="budget"):
-        laws.mix(extremal_points(6, F(1, 3))[0])  # pair (0, 3) needs a fourth
+    points = extremal_points(6, F(1, 3))
+    for pt in points[:3]:  # one pmf a call, however many calls came before
+        laws.mix(pt)
+    inverses = count_inverse_ffts(monkeypatch)
+    with pytest.raises(MemoryError, match="4 grid pmfs exceed the budget"):
+        laws.mix(points[:4])
+    assert inverses == []
 
 
 def test_full_enumeration_counts_the_table_rows_against_the_grid_budget(monkeypatch):
@@ -325,14 +339,17 @@ TABLE_MEASURES = [parse_measure(f"{kind}:{alpha}") for alpha in (0.9, 0.95, 0.99
 @pytest.mark.parametrize("d", [20, 60, 100])
 @pytest.mark.parametrize("family", ["discrete", "uniform"])
 def test_table_matches_per_point_laws(family, d, p):
-    # the oracle is a law per point, mixed from rows (ConditionalLaws.mix) and evaluated;
-    # small margins and a coarse grid keep its thousands of laws quick
+    # the oracle is a law per point from its mixed spectrum (ConditionalLaws.mix), evaluated
+    # on its pmf, independent of the survival table; mixing blocks of points gives each law
+    # bit for bit as alone, since a power's squarings do not depend on the other exponents.
+    # Small margins and a coarse grid keep its thousands of laws quick.
     margin, h = ((DiscreteMargin.from_power_cdf(0.2, 3.0, 20), None) if family == "discrete"
                  else (UniformMargin(), 1.0 / 16))
     points = extremal_points(d, p)
     got = np.array(ConditionalLaws(margin, d, p, h).evaluate_points(points, TABLE_MEASURES))
     laws = ConditionalLaws(margin, d, p, h)
-    want = np.array([[evaluate(laws.mix(pt), m) for m in TABLE_MEASURES] for pt in points])
+    dists = [dist for i in range(0, len(points), 256) for dist in laws.mix(points[i:i + 256])]
+    want = np.array([[evaluate(dist, m) for m in TABLE_MEASURES] for dist in dists])
     for m, column, oracle in zip(TABLE_MEASURES, got.T, want.T):
         if m.kind == "var":
             np.testing.assert_array_equal(column, oracle)

@@ -32,6 +32,8 @@ gfgm.convex_bounds_fast(gfgm.ExponentialMargin(0.1), 100, F(1, 3), ["es:0.999"] 
 p_vector = ["1/2", "1/3", "2/3"]
 gfgm.bounds_general_p([discrete] * 3, p_vector, measures)
 gfgm.bounds_general_p([gfgm.ExponentialMargin(1.0)] * 3, p_vector, measures, mc_n=1000)
+gfgm.aggregate(gfgm.UniformMargin(), 4, gfgm.SumPmf(4, [F(1, 3), F(1, 3), 0, F(1, 3), 0]), F(1, 3))
+gfgm.EmpiricalDistribution([0.5, 1.5, 2.0]).log_mgf(0.01)
 gfgm.bounds_general_p([gfgm.DiscreteMargin([0.5, 0.25, 0.25])] * 2, p_vector[:2],
                       ["entropic:1e-200", "entropic:1e-12"])
 p4 = [F(1, 2), F(1, 3), F(2, 3), F(1, 2)]
